@@ -16,19 +16,29 @@ namespace {
 
 using namespace daop;
 
+// The packed GEMV at the functional model's shapes (rows x cols): router
+// gate, wk/wv, wq/wo, expert w1/w3, expert w2 and the LM head.
 void BM_Matvec(benchmark::State& state) {
-  const auto n = static_cast<std::int64_t>(state.range(0));
+  const auto rows = static_cast<std::int64_t>(state.range(0));
+  const auto cols = static_cast<std::int64_t>(state.range(1));
   Rng rng(1);
-  const Tensor w = Tensor::randn(n, n, rng, 0.02F);
-  std::vector<float> x(static_cast<std::size_t>(n), 1.0F);
-  std::vector<float> y(static_cast<std::size_t>(n));
+  const PackedMatrix w = PackedMatrix::randn(rows, cols, rng, 0.02F);
+  std::vector<float> x(static_cast<std::size_t>(cols), 1.0F);
+  std::vector<float> y(static_cast<std::size_t>(rows));
   for (auto _ : state) {
     matvec(w, x, y);
     benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n * n);
+  state.SetItemsProcessed(state.iterations() * rows * cols);
 }
-BENCHMARK(BM_Matvec)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_Matvec)
+    ->Args({8, 64})
+    ->Args({32, 64})
+    ->Args({64, 64})
+    ->Args({128, 64})
+    ->Args({64, 128})
+    ->Args({256, 64});
 
 void BM_Softmax(benchmark::State& state) {
   std::vector<float> x(static_cast<std::size_t>(state.range(0)));

@@ -36,20 +36,30 @@ int main() {
     const auto calib = eval::calibrate_functional_counts(
         fm, data::sharegpt_calibration(), 8, 24, 24, 0x5eedULL);
 
+    // One sweep per task: the official reference is decoded once per
+    // episode and scored at every ECR.
+    std::vector<std::vector<eval::AccuracyMetrics>> by_task;
+    for (const auto& task : tasks) {
+      eval::AccuracyEvalOptions opt;
+      opt.n_episodes = 24;
+      opt.prompt_len = 24;
+      opt.gen_len = 40;
+      opt.calib_counts = &calib;
+      by_task.push_back(eval::evaluate_daop_accuracy(fm, task,
+                                                     core::DaopConfig{}, ecrs,
+                                                     opt));
+    }
+
     std::printf("== %s ==\n", cfg.name.c_str());
     TextTable t({"ECR", "TriviaQA agr", "BBH agr", "TruthfulQA R1", "R2",
                  "GSM8K agr"});
     std::vector<std::string> exact_frac_row = {"exact-exec% @25%"};
-    for (double ecr : ecrs) {
+    for (std::size_t e = 0; e < ecrs.size(); ++e) {
+      const double ecr = ecrs[e];
       std::vector<std::string> row = {fmt_pct(ecr)};
-      for (const auto& task : tasks) {
-        eval::AccuracyEvalOptions opt;
-        opt.n_episodes = 24;
-        opt.prompt_len = 24;
-        opt.gen_len = 40;
-        opt.calib_counts = &calib;
-        const auto m = eval::evaluate_daop_accuracy(fm, task,
-                                                    core::DaopConfig{}, ecr, opt);
+      for (std::size_t k = 0; k < tasks.size(); ++k) {
+        const auto& task = tasks[k];
+        const eval::AccuracyMetrics& m = by_task[k][e];
         if (task.name == "TruthfulQA") {
           row.push_back(fmt_f(m.rouge1 * 100.0, 2));
           row.push_back(fmt_f(m.rouge2 * 100.0, 2));

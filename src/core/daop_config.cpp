@@ -13,9 +13,10 @@ void validate_config(const DaopConfig& config) {
                  "DaopConfig.min_predict_layer must be >= 1 (layer 0 has no "
                  "previous block to predict from), got "
                      << config.min_predict_layer);
-  DAOP_CHECK_MSG(config.cpu_quant_bits == 0 || config.cpu_quant_bits == 2 ||
-                     config.cpu_quant_bits == 4 || config.cpu_quant_bits == 8,
-                 "DaopConfig.cpu_quant_bits must be one of {0, 2, 4, 8}, got "
+  DAOP_CHECK_MSG(config.cpu_quant_bits == 0 ||
+                     (config.cpu_quant_bits >= 2 && config.cpu_quant_bits <= 8),
+                 "DaopConfig.cpu_quant_bits must be 0 (off) or in [2, 8] "
+                 "(the widths QuantSpec supports), got "
                      << config.cpu_quant_bits);
   DAOP_CHECK_MSG(config.cpu_quant_group > 0,
                  "DaopConfig.cpu_quant_group must be > 0, got "

@@ -41,7 +41,8 @@ struct DaopConfig {
   /// EdgeMoE-style quantized CPU execution: when > 0, CPU-resident expert
   /// executions (pre-calculations, recomputes, early-layer in-place runs)
   /// use symmetric grouped quantization at this bit-width. Speeds up the
-  /// memory-bound CPU path at a measurable fidelity cost. 0 = fp precision.
+  /// memory-bound CPU path at a measurable fidelity cost. 0 = fp precision;
+  /// otherwise 2..8, the widths QuantSpec supports.
   int cpu_quant_bits = 0;
   /// Group size for cpu_quant_bits.
   int cpu_quant_group = 64;
@@ -82,10 +83,10 @@ struct DaopConfig {
 };
 
 /// CHECKs every DaopConfig field's range with an explanatory message
-/// (rejects swap_in_out < 1, min_predict_layer < 1, cpu_quant_bits outside
-/// {0,2,4,8}, negative intervals/retries/factors, skip_top1_margin outside
-/// [0,1]). Called by every consumer of a DaopConfig at construction so a
-/// bad config fails loudly instead of producing silently nonsensical
+/// (rejects swap_in_out < 1, min_predict_layer < 1, cpu_quant_bits other
+/// than 0 or 2..8, negative intervals/retries/factors, skip_top1_margin
+/// outside [0,1]). Called by every consumer of a DaopConfig at construction
+/// so a bad config fails loudly instead of producing silently nonsensical
 /// results.
 void validate_config(const DaopConfig& config);
 

@@ -72,12 +72,12 @@ std::vector<std::vector<double>> calibrate_functional_counts(
   return counts;
 }
 
-AccuracyMetrics evaluate_daop_accuracy(const model::FunctionalModel& model,
-                                       const data::WorkloadSpec& spec,
-                                       const core::DaopConfig& config,
-                                       double ecr,
-                                       const AccuracyEvalOptions& options) {
+std::vector<AccuracyMetrics> evaluate_daop_accuracy(
+    const model::FunctionalModel& model, const data::WorkloadSpec& spec,
+    const core::DaopConfig& config, std::span<const double> ecrs,
+    const AccuracyEvalOptions& options) {
   DAOP_CHECK_GT(options.n_episodes, 0);
+  DAOP_CHECK(!ecrs.empty());
   const model::ModelConfig& cfg = model.config();
 
   // §IV-A: calibrate the initial cache on the (ShareGPT-like) calibration
@@ -90,14 +90,18 @@ AccuracyMetrics evaluate_daop_accuracy(const model::FunctionalModel& model,
   }
   const auto& calib_counts =
       options.calib_counts ? *options.calib_counts : local_calib;
-  const cache::Placement initial = cache::init_placement_calibrated(
-      cfg.n_layers, cfg.n_experts, ecr, calib_counts);
+  std::vector<cache::Placement> initial;
+  initial.reserve(ecrs.size());
+  for (double ecr : ecrs) {
+    initial.push_back(cache::init_placement_calibrated(
+        cfg.n_layers, cfg.n_experts, ecr, calib_counts));
+  }
 
   const model::OfficialDecoder official(model);
   const core::DaopFunctionalExecutor daop(model, config);
 
-  AccuracyMetrics m;
-  double token_match = 0.0;
+  std::vector<AccuracyMetrics> out(ecrs.size());
+  std::vector<double> token_match(ecrs.size(), 0.0);
   double token_total = 0.0;
   for (int s = 0; s < options.n_episodes; ++s) {
     const auto prompt =
@@ -107,44 +111,61 @@ AccuracyMetrics evaluate_daop_accuracy(const model::FunctionalModel& model,
         options.prompt_len + options.gen_len + 1);
 
     const std::vector<int> ref = official.generate(prompt, options.gen_len, bias);
+    token_total += static_cast<double>(ref.size());
 
-    // Free-running generation: the paper's ExactMatch / ROUGE setting.
-    core::FunctionalRunStats stats;
-    const std::vector<int> cand =
-        daop.generate(prompt, options.gen_len, initial, bias, &stats);
+    for (std::size_t e = 0; e < ecrs.size(); ++e) {
+      AccuracyMetrics& m = out[e];
+      // Free-running generation: the paper's ExactMatch / ROUGE setting.
+      core::FunctionalRunStats stats;
+      const std::vector<int> cand =
+          daop.generate(prompt, options.gen_len, initial[e], bias, &stats);
 
-    // Teacher-forced pass: per-step agreement without compounding
-    // divergence (primary Table VI proxy).
-    const std::vector<int> forced = daop.generate(
-        prompt, options.gen_len, initial, bias, nullptr, ref);
+      // Teacher-forced pass: per-step agreement without compounding
+      // divergence (primary Table VI proxy).
+      const std::vector<int> forced = daop.generate(
+          prompt, options.gen_len, initial[e], bias, nullptr, ref);
 
-    DAOP_CHECK_EQ(ref.size(), cand.size());
-    DAOP_CHECK_EQ(ref.size(), forced.size());
-    if (ref == cand) m.exact_match += 1.0;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      token_total += 1.0;
-      if (ref[i] == forced[i]) token_match += 1.0;
+      DAOP_CHECK_EQ(ref.size(), cand.size());
+      DAOP_CHECK_EQ(ref.size(), forced.size());
+      if (ref == cand) m.exact_match += 1.0;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (ref[i] == forced[i]) token_match[e] += 1.0;
+      }
+      m.rouge1 += rouge_n(ref, cand, 1);
+      m.rouge2 += rouge_n(ref, cand, 2);
+
+      m.stats.decode_expert_uses += stats.decode_expert_uses;
+      m.stats.exact_execs += stats.exact_execs;
+      m.stats.stale_input_execs += stats.stale_input_execs;
+      m.stats.degradations += stats.degradations;
+      m.stats.mispredict_fallbacks += stats.mispredict_fallbacks;
+      m.stats.mispredict_recomputes += stats.mispredict_recomputes;
+      m.stats.prefill_swaps += stats.prefill_swaps;
+      m.stats.decode_swaps += stats.decode_swaps;
+      m.stats.quantized_execs += stats.quantized_execs;
+      m.stats.skipped_experts += stats.skipped_experts;
     }
-    m.rouge1 += rouge_n(ref, cand, 1);
-    m.rouge2 += rouge_n(ref, cand, 2);
-
-    m.stats.decode_expert_uses += stats.decode_expert_uses;
-    m.stats.exact_execs += stats.exact_execs;
-    m.stats.stale_input_execs += stats.stale_input_execs;
-    m.stats.degradations += stats.degradations;
-    m.stats.mispredict_fallbacks += stats.mispredict_fallbacks;
-    m.stats.mispredict_recomputes += stats.mispredict_recomputes;
-    m.stats.prefill_swaps += stats.prefill_swaps;
-    m.stats.decode_swaps += stats.decode_swaps;
-    m.stats.quantized_execs += stats.quantized_execs;
-    m.stats.skipped_experts += stats.skipped_experts;
   }
-  m.episodes = options.n_episodes;
-  m.exact_match /= options.n_episodes;
-  m.rouge1 /= options.n_episodes;
-  m.rouge2 /= options.n_episodes;
-  m.token_agreement = token_total > 0.0 ? token_match / token_total : 1.0;
-  return m;
+  for (std::size_t e = 0; e < ecrs.size(); ++e) {
+    AccuracyMetrics& m = out[e];
+    m.episodes = options.n_episodes;
+    m.exact_match /= options.n_episodes;
+    m.rouge1 /= options.n_episodes;
+    m.rouge2 /= options.n_episodes;
+    m.token_agreement =
+        token_total > 0.0 ? token_match[e] / token_total : 1.0;
+  }
+  return out;
+}
+
+AccuracyMetrics evaluate_daop_accuracy(const model::FunctionalModel& model,
+                                       const data::WorkloadSpec& spec,
+                                       const core::DaopConfig& config,
+                                       double ecr,
+                                       const AccuracyEvalOptions& options) {
+  return evaluate_daop_accuracy(model, spec, config,
+                                std::span<const double>(&ecr, 1), options)
+      .front();
 }
 
 }  // namespace daop::eval

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "cache/placement.hpp"
 #include "core/daop_config.hpp"
@@ -56,7 +58,17 @@ struct AccuracyEvalOptions {
   const std::vector<std::vector<double>>* calib_counts = nullptr;
 };
 
-/// Runs official vs DAOP generations episode by episode and scores them.
+/// Runs official vs DAOP generations episode by episode and scores them at
+/// every ECR in `ecrs`, returning one AccuracyMetrics per ECR in order. The
+/// official reference does not depend on the ECR, so each episode decodes
+/// it once and scores every ECR against it; each result equals a separate
+/// single-ECR call field for field.
+std::vector<AccuracyMetrics> evaluate_daop_accuracy(
+    const model::FunctionalModel& model, const data::WorkloadSpec& spec,
+    const core::DaopConfig& config, std::span<const double> ecrs,
+    const AccuracyEvalOptions& options);
+
+/// The sweep at one ECR.
 AccuracyMetrics evaluate_daop_accuracy(const model::FunctionalModel& model,
                                        const data::WorkloadSpec& spec,
                                        const core::DaopConfig& config,

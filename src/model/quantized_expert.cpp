@@ -7,9 +7,9 @@ namespace daop::model {
 
 QuantizedExpert quantize_expert(const ExpertWeights& w,
                                 const QuantSpec& spec) {
-  return QuantizedExpert{QuantizedTensor::quantize(w.w1, spec),
-                         QuantizedTensor::quantize(w.w3, spec),
-                         QuantizedTensor::quantize(w.w2, spec)};
+  return QuantizedExpert{QuantizedTensor::quantize(w.w1.unpack(), spec),
+                         QuantizedTensor::quantize(w.w3.unpack(), spec),
+                         QuantizedTensor::quantize(w.w2.unpack(), spec)};
 }
 
 void expert_forward_quantized(const QuantizedExpert& e,

@@ -23,7 +23,7 @@ ModelWeights init_weights(const ModelConfig& cfg, std::uint64_t seed) {
   {
     Rng r = root.fork(0);
     w.embedding = Tensor::randn(cfg.vocab_size, cfg.d_model, r, 1.0F);
-    w.lm_head = Tensor::randn(cfg.vocab_size, cfg.d_model, r, in_std);
+    w.lm_head = PackedMatrix::randn(cfg.vocab_size, cfg.d_model, r, in_std);
     w.final_norm = Tensor(cfg.d_model);
     w.final_norm.fill(1.0F);
   }
@@ -40,19 +40,19 @@ ModelWeights init_weights(const ModelConfig& cfg, std::uint64_t seed) {
 
     const int qdim = cfg.n_heads * cfg.head_dim;
     const int kvdim = cfg.n_kv_heads * cfg.head_dim;
-    lw.wq = Tensor::randn(qdim, cfg.d_model, r, in_std);
-    lw.wk = Tensor::randn(kvdim, cfg.d_model, r, in_std);
-    lw.wv = Tensor::randn(kvdim, cfg.d_model, r, in_std);
-    lw.wo = Tensor::randn(cfg.d_model, qdim, r,
-                          in_std * resid_scale);
-    lw.gate = Tensor::randn(cfg.n_experts, cfg.d_model, r, in_std);
+    lw.wq = PackedMatrix::randn(qdim, cfg.d_model, r, in_std);
+    lw.wk = PackedMatrix::randn(kvdim, cfg.d_model, r, in_std);
+    lw.wv = PackedMatrix::randn(kvdim, cfg.d_model, r, in_std);
+    lw.wo = PackedMatrix::randn(cfg.d_model, qdim, r, in_std * resid_scale);
+    lw.gate = PackedMatrix::randn(cfg.n_experts, cfg.d_model, r, in_std);
 
     lw.experts.resize(static_cast<std::size_t>(cfg.n_experts));
     for (int e = 0; e < cfg.n_experts; ++e) {
       ExpertWeights& ew = lw.experts[static_cast<std::size_t>(e)];
-      ew.w1 = Tensor::randn(cfg.d_ff, cfg.d_model, r, in_std);
-      ew.w3 = Tensor::randn(cfg.d_ff, cfg.d_model, r, in_std);
-      ew.w2 = Tensor::randn(cfg.d_model, cfg.d_ff, r, ff_std * resid_scale);
+      ew.w1 = PackedMatrix::randn(cfg.d_ff, cfg.d_model, r, in_std);
+      ew.w3 = PackedMatrix::randn(cfg.d_ff, cfg.d_model, r, in_std);
+      ew.w2 =
+          PackedMatrix::randn(cfg.d_model, cfg.d_ff, r, ff_std * resid_scale);
     }
   }
   return w;

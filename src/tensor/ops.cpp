@@ -2,24 +2,57 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 
 namespace daop {
 
-void matvec(const Tensor& w, std::span<const float> x, std::span<float> y) {
-  DAOP_CHECK_EQ(w.rank(), 2);
+namespace {
+
+// Four float lanes: one SSE register on x86-64, NEON on AArch64. GCC keeps
+// lane arithmetic IEEE (no reassociation without -ffast-math), so each lane
+// is one independent scalar accumulator chain.
+typedef float Vec4 __attribute__((vector_size(16)));
+
+Vec4 load4(const float* p) {
+  Vec4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+}  // namespace
+
+void matvec(const PackedMatrix& w, std::span<const float> x,
+            std::span<float> y) {
   DAOP_CHECK_EQ(static_cast<std::int64_t>(x.size()), w.cols());
   DAOP_CHECK_EQ(static_cast<std::int64_t>(y.size()), w.rows());
+  static_assert(PackedMatrix::kPanelRows == 16, "four Vec4 lanes per panel");
   const std::int64_t rows = w.rows();
   const std::int64_t cols = w.cols();
-  const float* wd = w.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* wr = wd + r * cols;
-    float acc = 0.0F;
-    for (std::int64_t c = 0; c < cols; ++c) acc += wr[c] * x[c];
-    y[static_cast<std::size_t>(r)] = acc;
+  for (std::int64_t p = 0; p < w.panels(); ++p) {
+    const float* wp = w.panel(p);
+    Vec4 a0 = {0.0F, 0.0F, 0.0F, 0.0F};
+    Vec4 a1 = a0;
+    Vec4 a2 = a0;
+    Vec4 a3 = a0;
+    for (std::int64_t c = 0; c < cols; ++c, wp += 16) {
+      const float xc = x[static_cast<std::size_t>(c)];
+      const Vec4 xv = {xc, xc, xc, xc};
+      a0 += load4(wp) * xv;
+      a1 += load4(wp + 4) * xv;
+      a2 += load4(wp + 8) * xv;
+      a3 += load4(wp + 12) * xv;
+    }
+    float lanes[16];
+    std::memcpy(lanes, &a0, sizeof(a0));
+    std::memcpy(lanes + 4, &a1, sizeof(a1));
+    std::memcpy(lanes + 8, &a2, sizeof(a2));
+    std::memcpy(lanes + 12, &a3, sizeof(a3));
+    const std::int64_t r0 = p * PackedMatrix::kPanelRows;
+    const std::int64_t n = std::min(PackedMatrix::kPanelRows, rows - r0);
+    std::copy(lanes, lanes + n, y.begin() + r0);
   }
 }
 

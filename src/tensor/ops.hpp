@@ -9,14 +9,20 @@
 #include <span>
 #include <vector>
 
+#include "tensor/packed_matrix.hpp"
 #include "tensor/tensor.hpp"
 
 namespace daop {
 
 // ---- GEMV / GEMM -----------------------------------------------------------
 
-/// y = W * x where W is [rows, cols] and x has `cols` elements.
-void matvec(const Tensor& w, std::span<const float> x, std::span<float> y);
+/// y = W * x where W is [rows, cols] and x has `cols` elements. Every
+/// y[r] is the scalar chain acc = 0.0f; acc += W[r][c] * x[c] for c
+/// ascending, each product and sum rounded to float, so results are
+/// bit-identical to that loop; the panel layout only runs kPanelRows such
+/// chains side by side in vector lanes.
+void matvec(const PackedMatrix& w, std::span<const float> x,
+            std::span<float> y);
 
 /// y = W^T * x where W is [rows, cols] and x has `rows` elements.
 void matvec_transposed(const Tensor& w, std::span<const float> x,

@@ -117,5 +117,66 @@ TEST(EvaluateAccuracy, ReusesProvidedCalibration) {
   EXPECT_DOUBLE_EQ(a.exact_match, b.exact_match);
 }
 
+void expect_same_metrics(const AccuracyMetrics& a, const AccuracyMetrics& b) {
+  EXPECT_EQ(a.exact_match, b.exact_match);
+  EXPECT_EQ(a.token_agreement, b.token_agreement);
+  EXPECT_EQ(a.rouge1, b.rouge1);
+  EXPECT_EQ(a.rouge2, b.rouge2);
+  EXPECT_EQ(a.episodes, b.episodes);
+  const core::FunctionalRunStats& x = a.stats;
+  const core::FunctionalRunStats& y = b.stats;
+  EXPECT_EQ(x.decode_expert_uses, y.decode_expert_uses);
+  EXPECT_EQ(x.exact_execs, y.exact_execs);
+  EXPECT_EQ(x.stale_input_execs, y.stale_input_execs);
+  EXPECT_EQ(x.degradations, y.degradations);
+  EXPECT_EQ(x.mispredict_fallbacks, y.mispredict_fallbacks);
+  EXPECT_EQ(x.mispredict_recomputes, y.mispredict_recomputes);
+  EXPECT_EQ(x.prefill_swaps, y.prefill_swaps);
+  EXPECT_EQ(x.decode_swaps, y.decode_swaps);
+  EXPECT_EQ(x.quantized_execs, y.quantized_execs);
+  EXPECT_EQ(x.skipped_experts, y.skipped_experts);
+}
+
+TEST(EvaluateAccuracy, EcrSweepEqualsSeparateCalls) {
+  const model::FunctionalModel fm(model::tiny_mixtral(), 3);
+  AccuracyEvalOptions opt;
+  opt.n_episodes = 3;
+  opt.prompt_len = 10;
+  opt.gen_len = 8;
+  opt.calibration_seqs = 2;
+  const std::vector<double> ecrs = {1.0, 0.5, 0.25};
+  for (const auto& spec : {data::gsm8k(), data::c4()}) {
+    const auto sweep =
+        evaluate_daop_accuracy(fm, spec, core::DaopConfig{}, ecrs, opt);
+    ASSERT_EQ(sweep.size(), ecrs.size());
+    for (std::size_t i = 0; i < ecrs.size(); ++i) {
+      SCOPED_TRACE(spec.name + " ecr " + std::to_string(ecrs[i]));
+      expect_same_metrics(
+          sweep[i],
+          evaluate_daop_accuracy(fm, spec, core::DaopConfig{}, ecrs[i], opt));
+    }
+  }
+}
+
+// Every width QuantSpec supports is a valid cpu_quant_bits, including the
+// odd ones between the powers of two.
+TEST(EvaluateAccuracy, RunsThreeAndSixBitCpuExperts) {
+  const model::FunctionalModel fm(model::tiny_mixtral(), 3);
+  AccuracyEvalOptions opt;
+  opt.n_episodes = 2;
+  opt.prompt_len = 10;
+  opt.gen_len = 8;
+  opt.calibration_seqs = 2;
+  for (const int bits : {3, 6}) {
+    core::DaopConfig dc;
+    dc.cpu_quant_bits = bits;
+    const auto m = evaluate_daop_accuracy(fm, data::c4(), dc, 0.25, opt);
+    EXPECT_EQ(m.episodes, 2) << bits;
+    EXPECT_GT(m.stats.quantized_execs, 0) << bits;
+    EXPECT_GE(m.token_agreement, 0.0) << bits;
+    EXPECT_LE(m.token_agreement, 1.0) << bits;
+  }
+}
+
 }  // namespace
 }  // namespace daop::eval

@@ -274,10 +274,10 @@ TEST_F(Robustness, ConfigValidationRejectsBadValues) {
     dc.min_predict_layer = -1;
     EXPECT_THROW(core::DaopEngine(costs_, dc), CheckError);
   }
-  {
+  for (const int bits : {1, 9}) {  // only 0 (off) and 2..8 are implemented
     core::DaopConfig dc;
-    dc.cpu_quant_bits = 3;  // only {0, 2, 4, 8} are implemented
-    EXPECT_THROW(core::DaopEngine(costs_, dc), CheckError);
+    dc.cpu_quant_bits = bits;
+    EXPECT_THROW(core::DaopEngine(costs_, dc), CheckError) << bits;
   }
   {
     core::DaopConfig dc;

@@ -16,7 +16,7 @@ TEST(Ops, MatvecSmallKnownValues) {
   for (int i = 0; i < 6; ++i) w.data()[i] = static_cast<float>(i + 1);
   const std::vector<float> x = {1.0F, 0.0F, -1.0F};
   std::vector<float> y(2);
-  matvec(w, x, y);
+  matvec(PackedMatrix::pack(w), x, y);
   EXPECT_FLOAT_EQ(y[0], -2.0F);
   EXPECT_FLOAT_EQ(y[1], -2.0F);
 }
@@ -206,9 +206,10 @@ TEST_P(MatmulShapeTest, AgreesWithMatvecPerRow) {
   }
   Tensor c(m, n);
   matmul(a, b, c);
+  const PackedMatrix bt_packed = PackedMatrix::pack(bt);
   std::vector<float> y(static_cast<std::size_t>(n));
   for (int i = 0; i < m; ++i) {
-    matvec(bt, a.row(i), y);
+    matvec(bt_packed, a.row(i), y);
     for (int j = 0; j < n; ++j) {
       EXPECT_NEAR(c.at(i, j), y[static_cast<std::size_t>(j)], 1e-4F);
     }

@@ -62,7 +62,7 @@ TEST(Quant, MatvecMatchesDequantizedMatvec) {
   std::vector<float> y_quant(24);
   std::vector<float> y_ref(24);
   qt.matvec(x, y_quant);
-  matvec(deq, x, y_ref);
+  matvec(PackedMatrix::pack(deq), x, y_ref);
   for (int r = 0; r < 24; ++r) {
     EXPECT_NEAR(y_quant[static_cast<std::size_t>(r)],
                 y_ref[static_cast<std::size_t>(r)], 1e-3F);
