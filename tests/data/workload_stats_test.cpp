@@ -3,12 +3,20 @@
 // silently breaks an observation fails here rather than in a bench.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "data/trace_generator.hpp"
 #include "data/workload.hpp"
 #include "eval/similarity.hpp"
 #include "model/config.hpp"
 
 namespace daop::data {
+
+// Without this gtest prints a WorkloadSpec as raw bytes, which include the
+// heap address of its name buffer; that text ends up in the test names
+// gtest_discover_tests registers, so they would change from build to build.
+void PrintTo(const WorkloadSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 constexpr int kSeqs = 48;  // enough for +-1.5% precision at test speed
