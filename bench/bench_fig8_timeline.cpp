@@ -14,7 +14,9 @@
 // strictly below Fiddler's on the same trace, because pre-calculation hides
 // the CPU expert behind GPU work that Fiddler serializes after. Exits
 // non-zero when the claim does not hold.
+#include <algorithm>
 #include <cstdio>
+#include <span>
 
 #include "cache/placement.hpp"
 #include "common/strings.hpp"
@@ -37,29 +39,24 @@ using namespace daop;
 // keeps prefill out of the interesting window.
 data::SequenceTrace micro_trace(const model::ModelConfig& cfg) {
   data::SequenceTrace tr;
-  tr.n_experts = cfg.n_experts;
-  tr.top_k = 2;
-  tr.prompt_len = 1;
-  tr.gen_len = 1;
-  tr.prefill.resize(static_cast<std::size_t>(cfg.n_layers));
-  tr.decode.resize(static_cast<std::size_t>(cfg.n_layers));
+  tr.reshape(cfg.n_layers, cfg.n_experts, /*top_k=*/2, /*prompt_len=*/1,
+             /*gen_len=*/1);
   for (int l = 0; l < cfg.n_layers; ++l) {
-    data::TokenRouting dec;
-    dec.scores.assign(static_cast<std::size_t>(cfg.n_experts), 0.0F);
+    const std::span<float> dec = tr.mutable_scores(data::Phase::Decode, l, 0);
     if (l % 2 == 0) {
-      dec.scores[0] = 2.0F;  // A
-      dec.scores[1] = 1.5F;  // B
+      dec[0] = 2.0F;  // A
+      dec[1] = 1.5F;  // B
     } else {
-      dec.scores[2] = 2.0F;  // C
-      dec.scores[3] = 1.5F;  // D
+      dec[2] = 2.0F;  // C
+      dec[3] = 1.5F;  // D
     }
-    if (l >= 1) dec.pred_scores = dec.scores;  // perfect prediction
-    tr.decode[static_cast<std::size_t>(l)].tokens = {dec};
+    if (l >= 1) {  // perfect prediction
+      std::ranges::copy(dec, tr.mutable_pred_scores(l, 0).begin());
+    }
     // Prefill routes like decode so the figure's initial cache state
     // (A, B, C resident) survives the prefill phase for every engine.
-    data::TokenRouting pre;
-    pre.scores = dec.scores;
-    tr.prefill[static_cast<std::size_t>(l)].tokens = {pre};
+    std::ranges::copy(dec,
+                      tr.mutable_scores(data::Phase::Prefill, l, 0).begin());
   }
   return tr;
 }

@@ -78,17 +78,35 @@ void BM_TimelineSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineSchedule);
 
+// One Mixtral trace at (prompt, gen) tokens: the flat buffers cost the same
+// four allocations at any length, so time scales with the RNG draws alone.
 void BM_TraceGeneration(benchmark::State& state) {
   const model::ModelConfig cfg = model::mixtral_8x7b();
   const data::TraceGenerator gen(data::c4(), cfg.n_layers, cfg.n_experts,
                                  cfg.top_k, 5);
+  const auto prompt = static_cast<int>(state.range(0));
+  const auto gen_len = static_cast<int>(state.range(1));
   int s = 0;
   for (auto _ : state) {
-    const auto tr = gen.generate(s++, 64, 64);
-    benchmark::DoNotOptimize(tr.decode.size());
+    const auto tr = gen.generate(s++, prompt, gen_len);
+    benchmark::DoNotOptimize(tr.at(data::Phase::Decode, 0, 0).scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * (prompt + gen_len));
+}
+BENCHMARK(BM_TraceGeneration)->Args({64, 64})->Args({256, 512});
+
+// Router top-k over one token's gate logits (k = 2 at 8 and 16 experts,
+// the Mixtral and Phi-3.5-MoE shapes).
+void BM_TopK(benchmark::State& state) {
+  std::vector<float> x(static_cast<std::size_t>(state.range(0)));
+  Rng rng(4);
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  for (auto _ : state) {
+    const TopK top = topk_indices(x, 2);
+    benchmark::DoNotOptimize(top.front());
   }
 }
-BENCHMARK(BM_TraceGeneration);
+BENCHMARK(BM_TopK)->Arg(8)->Arg(16);
 
 void BM_Rouge2(benchmark::State& state) {
   Rng rng(3);

@@ -24,26 +24,37 @@ std::size_t PlacementArbiter::idx(int layer, int expert) const {
 }
 
 void PlacementArbiter::pin(int layer, int expert, long long session) {
-  ++pins_[idx(layer, expert)][session];
+  auto& holders = pins_[idx(layer, expert)];
+  for (Pin& p : holders) {
+    if (p.session == session) {
+      ++p.count;
+      return;
+    }
+  }
+  holders.push_back({session, 1});
 }
 
 void PlacementArbiter::unpin(int layer, int expert, long long session) {
   auto& holders = pins_[idx(layer, expert)];
-  const auto it = holders.find(session);
+  const auto it = std::find_if(
+      holders.begin(), holders.end(),
+      [&](const Pin& p) { return p.session == session; });
   DAOP_CHECK_MSG(it != holders.end(),
                  "unpin without matching pin: layer " << layer << " expert "
                                                       << expert << " session "
                                                       << session);
-  if (--it->second == 0) holders.erase(it);
+  if (--it->count == 0) holders.erase(it);
 }
 
 void PlacementArbiter::unpin_session(long long session) {
-  for (auto& holders : pins_) holders.erase(session);
+  for (auto& holders : pins_) {
+    std::erase_if(holders, [&](const Pin& p) { return p.session == session; });
+  }
 }
 
 int PlacementArbiter::pin_count(int layer, int expert) const {
   int n = 0;
-  for (const auto& [session, count] : pins_[idx(layer, expert)]) n += count;
+  for (const Pin& p : pins_[idx(layer, expert)]) n += p.count;
   return n;
 }
 
@@ -60,9 +71,7 @@ int PlacementArbiter::pin_count(int expert) const {
 std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
                                                           int expert) const {
   std::vector<long long> out;
-  for (const auto& [holder, count] : pins_[idx(layer, expert)]) {
-    if (count > 0) out.push_back(holder);
-  }
+  for (const Pin& p : pins_[idx(layer, expert)]) out.push_back(p.session);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -70,17 +79,16 @@ std::vector<long long> PlacementArbiter::pinning_sessions(int layer,
 int PlacementArbiter::total_pin_count() const {
   int n = 0;
   for (const auto& holders : pins_) {
-    for (const auto& [session, count] : holders) n += count;
+    for (const Pin& p : holders) n += p.count;
   }
   return n;
 }
 
 bool PlacementArbiter::pinned_by_other(int layer, int expert,
                                        long long session) const {
-  for (const auto& [holder, count] : pins_[idx(layer, expert)]) {
-    if (holder != session && count > 0) return true;
-  }
-  return false;
+  const auto& holders = pins_[idx(layer, expert)];
+  return std::any_of(holders.begin(), holders.end(),
+                     [&](const Pin& p) { return p.session != session; });
 }
 
 bool PlacementArbiter::try_swap(int layer, int expert_in, int expert_out,

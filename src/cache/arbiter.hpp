@@ -21,7 +21,6 @@
 // by threads.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/placement.hpp"
@@ -78,8 +77,14 @@ class PlacementArbiter {
   std::size_t idx(int layer, int expert) const;
 
   Placement placement_;
-  /// Per-(layer, expert) pin refcount keyed by session id.
-  std::vector<std::unordered_map<long long, int>> pins_;
+  struct Pin {
+    long long session;
+    int count;  ///< > 0 while stored
+  };
+  /// Per-(layer, expert) pin refcounts, one entry per pinning session.
+  /// Holders are few, so a flat list beats a map, and an emptied list keeps
+  /// its capacity: pinning allocates nothing once the serving loop is warm.
+  std::vector<std::vector<Pin>> pins_;
   std::vector<double> weight_ready_;
 };
 

@@ -13,7 +13,8 @@
 namespace daop::core {
 namespace {
 
-/// Pre-calculation plan produced at layer i for layer i+1.
+/// Pre-calculation plan produced at layer i for layer i+1. One instance
+/// lives in the session and is reset per layer, so planning never allocates.
 struct NextLayerPlan {
   bool active = false;
   /// Whether this plan has already been charged a misprediction (the counter
@@ -34,12 +35,33 @@ struct NextLayerPlan {
       : precalc_arrival(static_cast<std::size_t>(n_experts), -1.0),
         substitute(static_cast<std::size_t>(n_experts), -1),
         precalc_span(static_cast<std::size_t>(n_experts), 0) {}
+
+  /// Back to the freshly constructed state.
+  void reset() {
+    active = false;
+    mispredicted = false;
+    pred_span = 0;
+    std::fill(precalc_arrival.begin(), precalc_arrival.end(), -1.0);
+    std::fill(substitute.begin(), substitute.end(), -1);
+    std::fill(precalc_span.begin(), precalc_span.end(), 0);
+  }
 };
+
+/// Experts a layer's fallbacks must avoid: the selected ones plus at most
+/// one substitute or fallback per selected expert.
+using ExcludeIds = InlineIds<2 * kMaxTopK>;
+
+/// Renormalized weight of the top-1 expert among `ids` (descending score).
+float top1_weight(std::span<const float> scores, const TopK& ids) {
+  float w[kMaxTopK];
+  softmax_subset(scores, ids, std::span<float>(w, ids.size()));
+  return w[0];
+}
 
 /// Best GPU-resident expert by `scores`, excluding `exclude`; -1 if none.
 int best_gpu_expert(const cache::Placement& placement, int layer,
                     std::span<const float> scores,
-                    const std::vector<int>& exclude) {
+                    std::span<const int> exclude) {
   int best = -1;
   float best_score = 0.0F;
   for (int e = 0; e < placement.n_experts(); ++e) {
@@ -81,7 +103,8 @@ class DaopSession final : public engines::SequenceSession {
                 : costs.expert_cpu()),
         swap_ready_(static_cast<std::size_t>(L_) * E_, 0.0),
         window_(static_cast<std::size_t>(L_),
-                std::vector<double>(static_cast<std::size_t>(E_), 0.0)) {}
+                std::vector<double>(static_cast<std::size_t>(E_), 0.0)),
+        plan_(E_) {}
 
  private:
   /// The shared placement under an arbiter, a private copy otherwise.
@@ -205,31 +228,30 @@ class DaopSession final : public engines::SequenceSession {
   void run_decode_token(int t) override {
     const model::ModelConfig& cfg = costs_.config();
     const int ctx = trace().prompt_len + t;
-    NextLayerPlan plan(E_);  // produced at layer l-1 for layer l
+    NextLayerPlan& plan = plan_;  // produced at layer l-1 for layer l
+    plan.reset();
     for (int l = 0; l < L_; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
 
-      const data::TokenRouting& tok = trace().at(data::Phase::Decode, l, t);
-      std::vector<int> selected = topk_indices(tok.scores, cfg.top_k);
+      const data::TokenRouting tok = trace().at(data::Phase::Decode, l, t);
+      TopK selected = topk_indices(tok.scores, cfg.top_k);
       if (tracing()) {
         tinstant(engines::tracks::kGate, "gate L" + std::to_string(l),
                  nonmoe_end);
       }
       // Adaptive expert skipping (extension): confident tokens keep only
       // their top-1 expert.
-      if (config_.skip_top1_margin > 0.0 && selected.size() >= 2) {
-        std::vector<float> w(selected.size());
-        softmax_subset(tok.scores, selected, w);
-        if (w[0] >= config_.skip_top1_margin) {
-          counters_.skipped_experts +=
-              static_cast<long long>(selected.size()) - 1;
-          selected.resize(1);
-        }
+      if (config_.skip_top1_margin > 0.0 && selected.size() >= 2 &&
+          top1_weight(tok.scores, selected) >= config_.skip_top1_margin) {
+        counters_.skipped_experts +=
+            static_cast<long long>(selected.size()) - 1;
+        selected.truncate(1);
       }
 
       double layer_end = nonmoe_end;
-      std::vector<int> exclude = selected;  // fallbacks must be fresh experts
+      ExcludeIds exclude;  // fallbacks must be fresh experts
+      for (int e : selected) exclude.push_back(e);
       for (int e : selected) {
         window_[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] +=
             1.0;
@@ -353,11 +375,11 @@ class DaopSession final : public engines::SequenceSession {
 
       // ---- Plan pre-calculation for layer l+1 using this layer's hidden
       // states (available at nonmoe_end). ----
-      plan = NextLayerPlan(E_);
+      plan.reset();
       const int nl = l + 1;
       if (config_.enable_precalc && nl < L_ &&
           nl >= config_.min_predict_layer) {
-        const data::TokenRouting& ntok =
+        const data::TokenRouting ntok =
             trace().at(data::Phase::Decode, nl, t);
         if (!ntok.pred_scores.empty()) {
           plan.active = true;
@@ -367,17 +389,16 @@ class DaopSession final : public engines::SequenceSession {
                 tinstant(engines::tracks::kPrediction,
                          "predict L" + std::to_string(nl), nonmoe_end);
           }
-          std::vector<int> predicted =
-              topk_indices(ntok.pred_scores, cfg.top_k);
+          TopK predicted = topk_indices(ntok.pred_scores, cfg.top_k);
           // Under adaptive skipping, confident predictions only need their
           // top-1 expert pre-calculated.
-          if (config_.skip_top1_margin > 0.0 && predicted.size() >= 2) {
-            std::vector<float> w(predicted.size());
-            softmax_subset(ntok.pred_scores, predicted, w);
-            if (w[0] >= config_.skip_top1_margin) predicted.resize(1);
+          if (config_.skip_top1_margin > 0.0 && predicted.size() >= 2 &&
+              top1_weight(ntok.pred_scores, predicted) >=
+                  config_.skip_top1_margin) {
+            predicted.truncate(1);
           }
 
-          std::vector<int> pred_cpu;
+          TopK pred_cpu;
           for (int e : predicted) {
             if (!placement().on_gpu(nl, e)) pred_cpu.push_back(e);
           }
@@ -504,6 +525,8 @@ class DaopSession final : public engines::SequenceSession {
   std::vector<double> swap_ready_;
   /// Trailing-window activation counts for decode re-allocation.
   std::vector<std::vector<double>> window_;
+  /// Scratch for run_decode_token; per-token-local, never checkpointed.
+  NextLayerPlan plan_;
 };
 
 }  // namespace

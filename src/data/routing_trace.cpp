@@ -1,63 +1,109 @@
 #include "data/routing_trace.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
-#include "tensor/ops.hpp"
 
 namespace daop::data {
 
-const TokenRouting& SequenceTrace::at(Phase phase, int layer,
-                                      int token) const {
-  const auto& layers = phase == Phase::Prefill ? prefill : decode;
-  DAOP_CHECK(layer >= 0 && layer < static_cast<int>(layers.size()));
-  const auto& lt = layers[static_cast<std::size_t>(layer)];
-  DAOP_CHECK(token >= 0 && token < static_cast<int>(lt.tokens.size()));
-  return lt.tokens[static_cast<std::size_t>(token)];
+void SequenceTrace::reshape(int n_layers, int n_experts_in, int top_k_in,
+                            int prompt_len_in, int gen_len_in) {
+  DAOP_CHECK_GE(n_layers, 0);
+  DAOP_CHECK_GE(n_experts_in, 0);
+  DAOP_CHECK_GE(prompt_len_in, 0);
+  DAOP_CHECK_GE(gen_len_in, 0);
+  n_layers_ = n_layers;
+  n_experts = n_experts_in;
+  top_k = top_k_in;
+  prompt_len = prompt_len_in;
+  gen_len = gen_len_in;
+  const auto L = static_cast<std::size_t>(n_layers);
+  const auto E = static_cast<std::size_t>(n_experts);
+  prefill_.assign(L * static_cast<std::size_t>(prompt_len) * E, 0.0F);
+  decode_.assign(L * static_cast<std::size_t>(gen_len) * E, 0.0F);
+  pred_.assign(decode_.size(), 0.0F);
+  has_pred_.assign(L * static_cast<std::size_t>(gen_len), 0);
 }
 
-std::vector<int> SequenceTrace::selected(Phase phase, int layer,
-                                         int token) const {
-  const TokenRouting& tr = at(phase, layer, token);
-  return topk_indices(tr.scores, top_k);
+std::size_t SequenceTrace::offset(Phase phase, int layer, int token) const {
+  const int n_tokens = phase == Phase::Prefill ? prompt_len : gen_len;
+  DAOP_CHECK(layer >= 0 && layer < n_layers_);
+  DAOP_CHECK(token >= 0 && token < n_tokens);
+  const std::size_t cell = static_cast<std::size_t>(layer) *
+                               static_cast<std::size_t>(n_tokens) +
+                           static_cast<std::size_t>(token);
+  // Guards the buffers against shape fields edited without reshape().
+  DAOP_CHECK_LE((cell + 1) * static_cast<std::size_t>(n_experts),
+                (phase == Phase::Prefill ? prefill_ : decode_).size());
+  return cell;
 }
 
-std::vector<int> SequenceTrace::predicted(int layer, int token) const {
-  const TokenRouting& tr = at(Phase::Decode, layer, token);
+TokenRouting SequenceTrace::at(Phase phase, int layer, int token) const {
+  const std::size_t cell = offset(phase, layer, token);
+  const auto E = static_cast<std::size_t>(n_experts);
+  if (phase == Phase::Prefill) {
+    return {std::span<const float>(prefill_).subspan(cell * E, E), {}};
+  }
+  TokenRouting r{std::span<const float>(decode_).subspan(cell * E, E), {}};
+  if (has_pred_[cell] != 0) {
+    r.pred_scores = std::span<const float>(pred_).subspan(cell * E, E);
+  }
+  return r;
+}
+
+std::span<float> SequenceTrace::mutable_scores(Phase phase, int layer,
+                                               int token) {
+  const std::size_t cell = offset(phase, layer, token);
+  const auto E = static_cast<std::size_t>(n_experts);
+  return std::span<float>(phase == Phase::Prefill ? prefill_ : decode_)
+      .subspan(cell * E, E);
+}
+
+std::span<float> SequenceTrace::mutable_pred_scores(int layer, int token) {
+  const std::size_t cell = offset(Phase::Decode, layer, token);
+  has_pred_[cell] = 1;
+  const auto E = static_cast<std::size_t>(n_experts);
+  return std::span<float>(pred_).subspan(cell * E, E);
+}
+
+TopK SequenceTrace::selected(Phase phase, int layer, int token) const {
+  return topk_indices(at(phase, layer, token).scores, top_k);
+}
+
+TopK SequenceTrace::predicted(int layer, int token) const {
+  const TokenRouting tr = at(Phase::Decode, layer, token);
   if (tr.pred_scores.empty()) return {};
   return topk_indices(tr.pred_scores, top_k);
 }
 
-std::vector<std::vector<double>> SequenceTrace::activation_counts(
-    Phase phase) const {
-  const auto& layers = phase == Phase::Prefill ? prefill : decode;
+std::vector<std::vector<double>> SequenceTrace::count_window(Phase phase,
+                                                            int t0,
+                                                            int t1) const {
   std::vector<std::vector<double>> counts(
-      layers.size(), std::vector<double>(static_cast<std::size_t>(n_experts), 0.0));
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    for (std::size_t t = 0; t < layers[l].tokens.size(); ++t) {
-      for (int e : topk_indices(layers[l].tokens[t].scores, top_k)) {
-        counts[l][static_cast<std::size_t>(e)] += 1.0;
+      static_cast<std::size_t>(n_layers_),
+      std::vector<double>(static_cast<std::size_t>(n_experts), 0.0));
+  for (int l = 0; l < n_layers_; ++l) {
+    auto& row = counts[static_cast<std::size_t>(l)];
+    for (int t = t0; t < t1; ++t) {
+      for (int e : selected(phase, l, t)) {
+        row[static_cast<std::size_t>(e)] += 1.0;
       }
     }
   }
   return counts;
+}
+
+std::vector<std::vector<double>> SequenceTrace::activation_counts(
+    Phase phase) const {
+  return count_window(phase, 0,
+                      phase == Phase::Prefill ? prompt_len : gen_len);
 }
 
 std::vector<std::vector<double>> SequenceTrace::decode_window_counts(
     int t0, int t1) const {
   DAOP_CHECK_LE(0, t0);
   DAOP_CHECK_LE(t0, t1);
-  std::vector<std::vector<double>> counts(
-      decode.size(), std::vector<double>(static_cast<std::size_t>(n_experts), 0.0));
-  for (std::size_t l = 0; l < decode.size(); ++l) {
-    const int hi = std::min<int>(t1, static_cast<int>(decode[l].tokens.size()));
-    for (int t = t0; t < hi; ++t) {
-      for (int e :
-           topk_indices(decode[l].tokens[static_cast<std::size_t>(t)].scores,
-                        top_k)) {
-        counts[l][static_cast<std::size_t>(e)] += 1.0;
-      }
-    }
-  }
-  return counts;
+  return count_window(Phase::Decode, t0, std::min(t1, gen_len));
 }
 
 }  // namespace daop::data

@@ -1,6 +1,8 @@
 #include "data/trace_generator.hpp"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -18,6 +20,7 @@ TraceGenerator::TraceGenerator(WorkloadSpec spec, int n_layers, int n_experts,
   DAOP_CHECK_GT(n_experts_, 0);
   DAOP_CHECK_GT(top_k_, 0);
   DAOP_CHECK_LE(top_k_, n_experts_);
+  DAOP_CHECK_LE(top_k_, kMaxTopK);
   DAOP_CHECK_GE(spec_.layer_rho, 0.0);
   DAOP_CHECK_LT(spec_.layer_rho, 1.0);
 }
@@ -38,22 +41,22 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
   const double shift = spec_.phase_shift_sigma;
 
   SequenceTrace tr;
-  tr.n_experts = n_experts_;
-  tr.top_k = top_k_;
-  tr.prompt_len = prompt_len;
-  tr.gen_len = gen_len;
-  tr.prefill.resize(static_cast<std::size_t>(n_layers_));
-  tr.decode.resize(static_cast<std::size_t>(n_layers_));
+  tr.reshape(n_layers_, n_experts_, top_k_, prompt_len, gen_len);
+
+  // Per-layer rows of E doubles, flat: [layer][expert].
+  auto row = [E](std::vector<double>& v, int l) {
+    return std::span<double>(v).subspan(static_cast<std::size_t>(l) * E, E);
+  };
+  const auto LE = static_cast<std::size_t>(n_layers_) * E;
 
   // Layer-correlated sequence preference field.
-  std::vector<std::vector<double>> pref(static_cast<std::size_t>(n_layers_),
-                                        std::vector<double>(E));
+  std::vector<double> pref(LE);
   for (int l = 0; l < n_layers_; ++l) {
-    auto& p = pref[static_cast<std::size_t>(l)];
+    const std::span<double> p = row(pref, l);
     if (l == 0) {
       for (auto& v : p) v = skew * rng.normal();
     } else {
-      const auto& prev = pref[static_cast<std::size_t>(l - 1)];
+      const std::span<double> prev = row(pref, l - 1);
       const double fresh = std::sqrt(1.0 - rho * rho);
       for (std::size_t e = 0; e < E; ++e) {
         p[e] = rho * prev[e] + fresh * skew * rng.normal();
@@ -62,61 +65,46 @@ SequenceTrace TraceGenerator::generate(int seq_index, int prompt_len,
   }
 
   // Decode-phase preferences: correlated with prefill, scale-preserving.
-  std::vector<std::vector<double>> dpref(static_cast<std::size_t>(n_layers_),
-                                         std::vector<double>(E));
+  std::vector<double> dpref(LE);
   const double keep = std::sqrt(std::max(0.0, 1.0 - shift * shift));
-  for (int l = 0; l < n_layers_; ++l) {
-    for (std::size_t e = 0; e < E; ++e) {
-      dpref[static_cast<std::size_t>(l)][e] =
-          keep * pref[static_cast<std::size_t>(l)][e] +
-          shift * skew * rng.normal();
-    }
+  for (std::size_t i = 0; i < LE; ++i) {
+    dpref[i] = keep * pref[i] + shift * skew * rng.normal();
   }
 
   // Prefill tokens.
   for (int l = 0; l < n_layers_; ++l) {
-    auto& lt = tr.prefill[static_cast<std::size_t>(l)];
-    lt.tokens.resize(static_cast<std::size_t>(prompt_len));
+    const std::span<double> p = row(pref, l);
     for (int t = 0; t < prompt_len; ++t) {
-      auto& tok = lt.tokens[static_cast<std::size_t>(t)];
-      tok.scores.resize(E);
+      const std::span<float> scores =
+          tr.mutable_scores(Phase::Prefill, l, t);
       for (std::size_t e = 0; e < E; ++e) {
-        tok.scores[e] = static_cast<float>(
-            pref[static_cast<std::size_t>(l)][e] +
-            spec_.token_noise_sigma * rng.normal());
+        scores[e] = static_cast<float>(p[e] +
+                                       spec_.token_noise_sigma * rng.normal());
       }
     }
   }
 
   // Decode tokens with random-walk drift and gate-ahead predictions.
-  std::vector<std::vector<double>> drift(static_cast<std::size_t>(n_layers_),
-                                         std::vector<double>(E, 0.0));
-  for (int l = 0; l < n_layers_; ++l) {
-    tr.decode[static_cast<std::size_t>(l)].tokens.resize(
-        static_cast<std::size_t>(gen_len));
-  }
+  std::vector<double> drift(LE, 0.0);
   for (int t = 0; t < gen_len; ++t) {
     for (int l = 0; l < n_layers_; ++l) {
-      auto& d = drift[static_cast<std::size_t>(l)];
+      const std::span<double> d = row(drift, l);
       for (std::size_t e = 0; e < E; ++e) {
         d[e] = spec_.drift_rho * d[e] + spec_.drift_sigma * skew * rng.normal();
       }
-      auto& tok =
-          tr.decode[static_cast<std::size_t>(l)].tokens[static_cast<std::size_t>(t)];
-      tok.scores.resize(E);
+      const std::span<double> dp = row(dpref, l);
+      const std::span<float> scores = tr.mutable_scores(Phase::Decode, l, t);
       for (std::size_t e = 0; e < E; ++e) {
-        tok.scores[e] = static_cast<float>(
-            dpref[static_cast<std::size_t>(l)][e] + d[e] +
-            spec_.token_noise_sigma * rng.normal());
+        scores[e] = static_cast<float>(dp[e] + d[e] +
+                                       spec_.token_noise_sigma * rng.normal());
       }
       if (l >= 1) {
         // A prediction for this layer, formed while layer l-1 executed.
         const double pn =
             l < 4 ? spec_.pred_noise_early : spec_.pred_noise_late;
-        tok.pred_scores.resize(E);
+        const std::span<float> pred = tr.mutable_pred_scores(l, t);
         for (std::size_t e = 0; e < E; ++e) {
-          tok.pred_scores[e] =
-              tok.scores[e] + static_cast<float>(pn * rng.normal());
+          pred[e] = scores[e] + static_cast<float>(pn * rng.normal());
         }
       }
     }

@@ -1,27 +1,33 @@
 #include "data/trace_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/check.hpp"
 
 namespace daop::data {
 namespace {
 
-void write_scores(std::ostream& os, const std::vector<float>& scores) {
+/// Largest score count per phase buffer a header may declare (1 GiB of
+/// floats): far above any real model's trace, and small enough that a
+/// corrupt header fails with CheckError instead of exhausting memory.
+constexpr long long kMaxTraceFloats = 1LL << 28;
+
+void write_scores(std::ostream& os, std::span<const float> scores) {
   for (float s : scores) os << ' ' << s;
 }
 
-std::vector<float> read_scores(std::istringstream& line, int n,
-                               const char* what) {
-  std::vector<float> out(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    DAOP_CHECK_MSG(static_cast<bool>(line >> out[static_cast<std::size_t>(i)]),
+void read_scores(std::istringstream& line, std::span<float> out,
+                 const char* what) {
+  for (float& v : out) {
+    DAOP_CHECK_MSG(static_cast<bool>(line >> v),
                    "truncated " << what << " vector");
   }
-  return out;
 }
 
 }  // namespace
@@ -36,15 +42,14 @@ void save_trace(const SequenceTrace& trace, std::ostream& os) {
      << '\n';
   for (int l = 0; l < trace.n_layers(); ++l) {
     for (int t = 0; t < trace.prompt_len; ++t) {
-      const TokenRouting& tr = trace.at(Phase::Prefill, l, t);
       os << "P " << l << ' ' << t;
-      write_scores(os, tr.scores);
+      write_scores(os, trace.at(Phase::Prefill, l, t).scores);
       os << '\n';
     }
   }
   for (int l = 0; l < trace.n_layers(); ++l) {
     for (int t = 0; t < trace.gen_len; ++t) {
-      const TokenRouting& tr = trace.at(Phase::Decode, l, t);
+      const TokenRouting tr = trace.at(Phase::Decode, l, t);
       os << "D " << l << ' ' << t;
       write_scores(os, tr.scores);
       if (!tr.pred_scores.empty()) {
@@ -63,8 +68,10 @@ SequenceTrace load_trace(std::istream& is) {
                  "missing 'daop-trace v1' magic line");
 
   SequenceTrace trace;
-  int n_layers = 0;
   bool have_header = false;
+  // [layer][token] per phase: set once a cell's record was read.
+  std::vector<bool> seen_prefill;
+  std::vector<bool> seen_decode;
   long long prefill_cells = 0;
   long long decode_cells = 0;
 
@@ -75,58 +82,68 @@ SequenceTrace load_trace(std::istream& is) {
     ls >> kind;
     if (kind == "header") {
       DAOP_CHECK_MSG(!have_header, "duplicate header");
-      DAOP_CHECK_MSG(
-          static_cast<bool>(ls >> n_layers >> trace.n_experts >>
-                            trace.top_k >> trace.prompt_len >> trace.gen_len),
-          "malformed header");
+      int n_layers = 0;
+      int n_experts = 0;
+      int top_k = 0;
+      int prompt_len = 0;
+      int gen_len = 0;
+      DAOP_CHECK_MSG(static_cast<bool>(ls >> n_layers >> n_experts >> top_k >>
+                                       prompt_len >> gen_len),
+                     "malformed header");
       DAOP_CHECK_GT(n_layers, 0);
-      DAOP_CHECK_GT(trace.n_experts, 0);
-      DAOP_CHECK(trace.top_k > 0 && trace.top_k <= trace.n_experts);
-      DAOP_CHECK_GT(trace.prompt_len, 0);
-      DAOP_CHECK_GE(trace.gen_len, 0);
-      trace.prefill.resize(static_cast<std::size_t>(n_layers));
-      trace.decode.resize(static_cast<std::size_t>(n_layers));
-      for (int l = 0; l < n_layers; ++l) {
-        trace.prefill[static_cast<std::size_t>(l)].tokens.resize(
-            static_cast<std::size_t>(trace.prompt_len));
-        trace.decode[static_cast<std::size_t>(l)].tokens.resize(
-            static_cast<std::size_t>(trace.gen_len));
-      }
+      DAOP_CHECK_GT(n_experts, 0);
+      DAOP_CHECK(top_k > 0 && top_k <= n_experts);
+      DAOP_CHECK_LE(top_k, kMaxTopK);
+      DAOP_CHECK_GT(prompt_len, 0);
+      DAOP_CHECK_GE(gen_len, 0);
+      const long long per_token = static_cast<long long>(n_layers) * n_experts;
+      DAOP_CHECK_MSG(std::max(prompt_len, gen_len) <=
+                         kMaxTraceFloats / per_token,
+                     "trace too large: " << n_layers << " layers x "
+                                         << n_experts << " experts x "
+                                         << std::max(prompt_len, gen_len)
+                                         << " tokens");
+      trace.reshape(n_layers, n_experts, top_k, prompt_len, gen_len);
+      seen_prefill.assign(static_cast<std::size_t>(n_layers) * prompt_len,
+                          false);
+      seen_decode.assign(static_cast<std::size_t>(n_layers) * gen_len, false);
       have_header = true;
       continue;
     }
     DAOP_CHECK_MSG(have_header, "data line before header");
     DAOP_CHECK_MSG(kind == "P" || kind == "D",
                    "unknown record kind '" << kind << "'");
+    const Phase phase = kind == "P" ? Phase::Prefill : Phase::Decode;
     int l = -1;
     int t = -1;
     DAOP_CHECK_MSG(static_cast<bool>(ls >> l >> t), "malformed record indices");
-    DAOP_CHECK_MSG(l >= 0 && l < n_layers, "layer out of range: " << l);
-    auto& layers = kind == "P" ? trace.prefill : trace.decode;
-    const int max_t = kind == "P" ? trace.prompt_len : trace.gen_len;
+    DAOP_CHECK_MSG(l >= 0 && l < trace.n_layers(), "layer out of range: " << l);
+    const int max_t =
+        phase == Phase::Prefill ? trace.prompt_len : trace.gen_len;
     DAOP_CHECK_MSG(t >= 0 && t < max_t, "token out of range: " << t);
-    TokenRouting& cell =
-        layers[static_cast<std::size_t>(l)].tokens[static_cast<std::size_t>(t)];
-    DAOP_CHECK_MSG(cell.scores.empty(),
+    auto& seen = phase == Phase::Prefill ? seen_prefill : seen_decode;
+    const std::size_t cell = static_cast<std::size_t>(l) * max_t +
+                             static_cast<std::size_t>(t);
+    DAOP_CHECK_MSG(!seen[cell],
                    "duplicate cell " << kind << " " << l << " " << t);
-    cell.scores = read_scores(ls, trace.n_experts, "scores");
-    if (kind == "P") {
+    seen[cell] = true;
+    read_scores(ls, trace.mutable_scores(phase, l, t), "scores");
+    if (phase == Phase::Prefill) {
       ++prefill_cells;
     } else {
       ++decode_cells;
       std::string sep;
       if (ls >> sep) {
         DAOP_CHECK_MSG(sep == "|", "expected '|' before predictions");
-        cell.pred_scores = read_scores(ls, trace.n_experts, "pred");
+        read_scores(ls, trace.mutable_pred_scores(l, t), "pred");
       }
     }
   }
   DAOP_CHECK_MSG(have_header, "empty trace (no header)");
-  DAOP_CHECK_MSG(prefill_cells ==
-                     static_cast<long long>(n_layers) * trace.prompt_len,
+  const auto n_layers = static_cast<long long>(trace.n_layers());
+  DAOP_CHECK_MSG(prefill_cells == n_layers * trace.prompt_len,
                  "missing prefill cells: " << prefill_cells);
-  DAOP_CHECK_MSG(decode_cells ==
-                     static_cast<long long>(n_layers) * trace.gen_len,
+  DAOP_CHECK_MSG(decode_cells == n_layers * trace.gen_len,
                  "missing decode cells: " << decode_cells);
   return trace;
 }

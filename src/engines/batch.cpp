@@ -222,26 +222,38 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
     ready = std::max(ready, last_swap_end);
   }
 
-  // Per-layer plan carried to layer l+1.
+  // Per-layer plan carried to layer l+1; reset in place for each layer.
   struct Plan {
     bool active = false;
-    std::vector<double> arrival;            ///< per expert; < 0 = none
-    std::vector<std::vector<int>> sub;      ///< [seq][expert] substitute
-    std::vector<std::vector<char>> covered; ///< [seq][expert] pre-calculated
-                                            ///< for THIS sequence's token
+    std::vector<double> arrival;  ///< per expert; < 0 = none
+    std::vector<int> sub;         ///< [seq * E + expert] substitute
+    std::vector<char> covered;    ///< [seq * E + expert] pre-calculated
+                                  ///< for THIS sequence's token
     explicit Plan(int n_experts, int batch)
-        : arrival(static_cast<std::size_t>(n_experts), -1.0),
-          sub(static_cast<std::size_t>(batch),
-              std::vector<int>(static_cast<std::size_t>(n_experts), -1)),
-          covered(static_cast<std::size_t>(batch),
-                  std::vector<char>(static_cast<std::size_t>(n_experts), 0)) {}
+        : arrival(static_cast<std::size_t>(n_experts)),
+          sub(static_cast<std::size_t>(batch) * n_experts),
+          covered(sub.size()) {
+      reset();
+    }
+    void reset() {
+      active = false;
+      std::fill(arrival.begin(), arrival.end(), -1.0);
+      std::fill(sub.begin(), sub.end(), -1);
+      std::fill(covered.begin(), covered.end(), 0);
+    }
+  };
+  const auto cell = [E](int b, int e) {
+    return static_cast<std::size_t>(b) * static_cast<std::size_t>(E) +
+           static_cast<std::size_t>(e);
   };
 
+  Plan plan(E, B);
   std::vector<int> gpu_tokens(static_cast<std::size_t>(E));
   std::vector<int> cpu_exact_tokens(static_cast<std::size_t>(E));
+  std::vector<int> pre_tokens(static_cast<std::size_t>(E));
   for (int t = 0; t < gen_len; ++t) {
     const int ctx = prompt_len + t;
-    Plan plan(E, B);
+    plan.reset();
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl.schedule(
           sim::Res::GpuStream, ready, costs.nonmoe_gpu_batch(B, ctx),
@@ -252,7 +264,7 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
       std::fill(cpu_exact_tokens.begin(), cpu_exact_tokens.end(), 0);
       double precalc_wait = nonmoe_end;
       for (int b = 0; b < B; ++b) {
-        const auto& tok = traces[static_cast<std::size_t>(b)].at(
+        const data::TokenRouting tok = traces[static_cast<std::size_t>(b)].at(
             data::Phase::Decode, l, t);
         // Charged at most once per sequence per plan: the counter means
         // "this sequence's predicted set missed a used expert", matching
@@ -266,13 +278,11 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
             continue;
           }
           ++counters.cache_misses;
-          if (plan.active && plan.covered[static_cast<std::size_t>(b)][ei] &&
+          if (plan.active && plan.covered[cell(b, e)] &&
               plan.arrival[ei] >= 0.0) {
             precalc_wait = std::max(precalc_wait, plan.arrival[ei]);
-          } else if (plan.active &&
-                     plan.sub[static_cast<std::size_t>(b)][ei] >= 0) {
-            ++gpu_tokens[static_cast<std::size_t>(
-                plan.sub[static_cast<std::size_t>(b)][ei])];
+          } else if (plan.active && plan.sub[cell(b, e)] >= 0) {
+            ++gpu_tokens[static_cast<std::size_t>(plan.sub[cell(b, e)])];
           } else if (plan.active) {
             if (!missed) {
               missed = true;
@@ -306,19 +316,20 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
       }
 
       // Plan for layer l+1 from this layer's hidden states.
-      plan = Plan(E, B);
+      plan.reset();
       const int nl = l + 1;
       if (config.enable_precalc && nl < cfg.n_layers &&
           nl >= config.min_predict_layer) {
-        std::vector<int> pre_tokens(static_cast<std::size_t>(E), 0);
+        std::fill(pre_tokens.begin(), pre_tokens.end(), 0);
         bool any_pred = false;
         for (int b = 0; b < B; ++b) {
-          const auto& ntok = traces[static_cast<std::size_t>(b)].at(
-              data::Phase::Decode, nl, t);
+          const data::TokenRouting ntok =
+              traces[static_cast<std::size_t>(b)].at(data::Phase::Decode, nl,
+                                                     t);
           if (ntok.pred_scores.empty()) continue;
           any_pred = true;
-          std::vector<int> predicted = topk_indices(ntok.pred_scores, cfg.top_k);
-          std::vector<int> pred_cpu;
+          const TopK predicted = topk_indices(ntok.pred_scores, cfg.top_k);
+          TopK pred_cpu;
           for (int e : predicted) {
             if (!placement.on_gpu(nl, e)) pred_cpu.push_back(e);
           }
@@ -339,16 +350,14 @@ BatchResult run_daop_batch(const model::OpCosts& costs,
               }
             }
             if (best >= 0) {
-              plan.sub[static_cast<std::size_t>(b)]
-                      [static_cast<std::size_t>(pred_cpu.back())] = best;
+              plan.sub[cell(b, pred_cpu.back())] = best;
               pred_cpu.pop_back();
               ++counters.degradations;
             }
           }
           for (int e : pred_cpu) {
             ++pre_tokens[static_cast<std::size_t>(e)];
-            plan.covered[static_cast<std::size_t>(b)]
-                        [static_cast<std::size_t>(e)] = 1;
+            plan.covered[cell(b, e)] = 1;
           }
         }
         if (any_pred) {

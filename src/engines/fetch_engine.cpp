@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <span>
 
 #include "cache/arbiter.hpp"
 #include "common/check.hpp"
@@ -34,6 +34,15 @@ class FetchSession final : public SequenceSession {
         prefetch_pending_(last_use_.size(), 0),
         fetch_span_(last_use_.size(), 0),
         pattern_prefetched_(last_use_.size(), false) {
+    if (policy_.prefetch_uses_sequence_pattern) {
+      // MoE-Infinity's guess per layer: the top-k experts by prefill token
+      // count. The counts are fixed for the session, so rank them once.
+      pattern_guess_.reserve(prefill_counts_.size());
+      for (const std::vector<double>& counts : prefill_counts_) {
+        const std::vector<float> scores(counts.begin(), counts.end());
+        pattern_guess_.push_back(topk_indices(scores, costs.config().top_k));
+      }
+    }
     if (policy_.ignore_initial_cache) {
       // DeepSpeed-MII has no expert offloading mechanism (§V-C): every
       // expert streams from host memory on every use. Under a shared
@@ -63,12 +72,15 @@ class FetchSession final : public SequenceSession {
   /// LRU victim among residents of `layer` that are not in `protect` and —
   /// under an arbiter — not pinned by another session. When only pins stand
   /// between the caller and a victim, the refusal is counted.
-  int victim(int layer, const std::unordered_set<int>& protect) {
+  int victim(int layer, std::span<const int> protect) {
     int best = -1;
     long long best_use = 0;
     bool pin_blocked = false;
     for (int e = 0; e < placement().n_experts(); ++e) {
-      if (!placement().on_gpu(layer, e) || protect.count(e) != 0) continue;
+      if (!placement().on_gpu(layer, e) ||
+          std::ranges::find(protect, e) != protect.end()) {
+        continue;
+      }
       if (arbiter() != nullptr &&
           arbiter()->pinned_by_other(layer, e, request_id())) {
         pin_blocked = true;
@@ -88,7 +100,7 @@ class FetchSession final : public SequenceSession {
   // needed, and marks it resident. Returns false if it could not be cached
   // (zero capacity, or every candidate victim pinned by another session) —
   // the expert is then streamed without residency.
-  bool make_resident(int l, int e, const std::unordered_set<int>& protect) {
+  bool make_resident(int l, int e, std::span<const int> protect) {
     if (placement().capacity(l) == 0) return false;
     if (placement().gpu_count(l) >= placement().capacity(l)) {
       const int v = victim(l, protect);
@@ -147,7 +159,6 @@ class FetchSession final : public SequenceSession {
         return counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(a)] >
                counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(b)];
       });
-      std::unordered_set<int> protect(active.begin(), active.end());
 
       double layer_end = nonmoe_end;
       double prev_exec_end = nonmoe_end;
@@ -159,7 +170,7 @@ class FetchSession final : public SequenceSession {
           ++counters_.cache_misses;
           const double done = fetch(l, e, nonmoe_end, prev_exec_end);
           exec_ready = done;
-          if (!policy_.reuse_cache || !make_resident(l, e, protect)) {
+          if (!policy_.reuse_cache || !make_resident(l, e, active)) {
             fetch_ready_[idx(l, e)] = -1.0;
           }
         } else {
@@ -190,24 +201,19 @@ class FetchSession final : public SequenceSession {
     for (int l = 0; l < cfg.n_layers; ++l) {
       const double nonmoe_end = tl().schedule(
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
-      const std::vector<int> selected =
-          trace().selected(data::Phase::Decode, l, t);
-      std::unordered_set<int> protect(selected.begin(), selected.end());
+      const TopK selected = trace().selected(data::Phase::Decode, l, t);
       if (tracing()) {
         tinstant(tracks::kGate, "gate L" + std::to_string(l), nonmoe_end);
       }
 
       // Issue next-layer prefetches as soon as this layer's gate resolves.
       if (policy_.prefetch_next_layer && l + 1 < cfg.n_layers) {
-        std::vector<int> guess;
+        TopK guess;
         std::uint64_t pred_span = 0;
         if (policy_.prefetch_uses_sequence_pattern) {
           // MoE-Infinity: prefetch the next layer's sequence-level dominant
           // experts (prefill activation pattern).
-          std::vector<float> scores(
-              prefill_counts_[static_cast<std::size_t>(l + 1)].begin(),
-              prefill_counts_[static_cast<std::size_t>(l + 1)].end());
-          guess = topk_indices(scores, cfg.top_k);
+          guess = pattern_guess_[static_cast<std::size_t>(l + 1)];
         } else if (policy_.prefetch_uses_prediction) {
           guess = trace().predicted(l + 1, t);
           if (!guess.empty()) {
@@ -234,8 +240,7 @@ class FetchSession final : public SequenceSession {
           prefetch_pending_[i] = 1;
           tflow(pred_span, fetch_span_[i], "prefetch");
           if (policy_.reuse_cache) {
-            make_resident(l + 1, e, std::unordered_set<int>(guess.begin(),
-                                                            guess.end()));
+            make_resident(l + 1, e, guess);
           }
         }
       }
@@ -268,7 +273,7 @@ class FetchSession final : public SequenceSession {
           }
           // Streamed weights are discarded after use unless a cache slot
           // absorbs them.
-          if (!policy_.reuse_cache || !make_resident(l, e, protect)) {
+          if (!policy_.reuse_cache || !make_resident(l, e, selected)) {
             fetch_ready_[i] = -1.0;
           }
         }
@@ -357,6 +362,8 @@ class FetchSession final : public SequenceSession {
   cache::Placement placement_;
   const double mig_time_;
   const std::vector<std::vector<double>> prefill_counts_;
+  /// Sequence-pattern prefetch targets per layer (MoE-Infinity only).
+  std::vector<TopK> pattern_guess_;
   /// Monotonic use counter per (layer, expert) for LRU eviction.
   std::vector<long long> last_use_;
   long long use_clock_ = 0;

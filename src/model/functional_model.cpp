@@ -12,6 +12,7 @@ FunctionalModel::FunctionalModel(ModelConfig cfg, std::uint64_t seed)
   DAOP_CHECK_GE(cfg_.n_layers, 1);
   DAOP_CHECK_GE(cfg_.top_k, 1);
   DAOP_CHECK_LE(cfg_.top_k, cfg_.n_experts);
+  DAOP_CHECK_LE(cfg_.top_k, kMaxTopK);
 }
 
 void FunctionalModel::embed(int token, std::span<float> x) const {
@@ -90,7 +91,8 @@ void FunctionalModel::gate(int layer, std::span<const float> h,
 
 RouteDecision FunctionalModel::route(std::span<const float> logits) const {
   RouteDecision d;
-  d.experts = topk_indices(logits, cfg_.top_k);
+  const TopK top = topk_indices(logits, cfg_.top_k);
+  d.experts.assign(top.begin(), top.end());
   d.weights.resize(d.experts.size());
   softmax_subset(logits, d.experts, d.weights);
   return d;

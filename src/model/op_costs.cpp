@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "tensor/ops.hpp"
 
 namespace daop::model {
 namespace {
@@ -22,6 +23,7 @@ OpCosts::OpCosts(const ModelConfig& cfg, const sim::CostModel& cm)
   DAOP_CHECK_GT(cfg_.n_layers, 0);
   DAOP_CHECK_GT(cfg_.n_experts, 0);
   DAOP_CHECK_GT(cfg_.top_k, 0);
+  DAOP_CHECK_LE(cfg_.top_k, kMaxTopK);
 }
 
 double OpCosts::nonmoe_time(const sim::DeviceSpec& dev, int n_tokens,

@@ -217,17 +217,17 @@ void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
   }
 }
 
-std::vector<int> topk_indices(std::span<const float> x, int k) {
+TopK topk_indices(std::span<const float> x, int k) {
   DAOP_CHECK_GE(k, 0);
   DAOP_CHECK_LE(static_cast<std::size_t>(k), x.size());
+  DAOP_CHECK_LE(k, kMaxTopK);
   // Repeated max-scan over the strict total order (score desc, index asc).
   // (score, index) pairs are distinct, so the top-k sequence is uniquely
   // determined and this matches a partial_sort with the same comparator
-  // exactly — but with no index scratch vector and O(k*n) work, which wins
-  // for MoE routing's tiny k (top-2 of 8 experts) on the hottest call site
-  // in the simulator (every token × layer of every generated trace).
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(k));
+  // exactly — but with no index scratch and O(k*n) work, which wins for MoE
+  // routing's tiny k (top-2 of 8 experts) on the hottest call site in the
+  // simulator (every token × layer of every generated trace).
+  TopK out;
   float prev_x = 0.0f;
   int prev_i = -1;
   for (int round = 0; round < k; ++round) {

@@ -5,10 +5,12 @@
 // runs and thread counts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "tensor/packed_matrix.hpp"
 #include "tensor/tensor.hpp"
 
@@ -73,9 +75,64 @@ void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
 
 // ---- Selection ---------------------------------------------------------------
 
+/// Largest top_k an inline id list holds. MoE routers select a handful of
+/// experts per token (every shipped config uses 2); a larger top_k is
+/// rejected with CheckError wherever a config or trace enters.
+inline constexpr int kMaxTopK = 8;
+
+/// Fixed-capacity list of expert ids stored inline: copying, returning and
+/// shrinking it never touches the heap. push_back beyond `Capacity` raises
+/// CheckError.
+template <int Capacity>
+class InlineIds {
+ public:
+  using value_type = int;
+  using iterator = const int*;
+  using const_iterator = const int*;
+
+  std::size_t size() const { return static_cast<std::size_t>(n_); }
+  bool empty() const { return n_ == 0; }
+  const int* begin() const { return ids_; }
+  const int* end() const { return ids_ + n_; }
+  int operator[](std::size_t i) const { return ids_[i]; }
+  int front() const { return ids_[0]; }
+  int back() const { return ids_[n_ - 1]; }
+  bool contains(int id) const {
+    for (int i = 0; i < n_; ++i) {
+      if (ids_[i] == id) return true;
+    }
+    return false;
+  }
+
+  void push_back(int id) {
+    DAOP_CHECK_LT(n_, Capacity);
+    ids_[n_++] = id;
+  }
+  void pop_back() { --n_; }
+  /// Keeps the first `n` ids (n <= size()).
+  void truncate(std::size_t n) {
+    DAOP_CHECK_LE(n, size());
+    n_ = static_cast<int>(n);
+  }
+
+  operator std::span<const int>() const { return {ids_, size()}; }
+
+  friend bool operator==(const InlineIds& a, const InlineIds& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  int ids_[Capacity] = {};
+  int n_ = 0;
+};
+
+/// Top-k expert ids of one router call.
+using TopK = InlineIds<kMaxTopK>;
+
 /// Indices of the k largest values, ordered by descending value
 /// (ties broken by lower index, making selection deterministic).
-std::vector<int> topk_indices(std::span<const float> x, int k);
+/// Requires k <= min(x.size(), kMaxTopK).
+TopK topk_indices(std::span<const float> x, int k);
 
 int argmax(std::span<const float> x);
 

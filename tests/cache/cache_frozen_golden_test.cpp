@@ -1,21 +1,19 @@
-// Golden lockdown for `--cache-policy frozen` (ISSUE 7): the default cache
-// policy must leave every engine byte-identical to the pre-cache goldens.
-// Frozen constructs no ExpertCache anywhere, so the snapshot here runs the
-// exact same code as tests/engines/session_determinism_test.cpp — and this
-// test proves it by (1) comparing against its own committed golden and
-// (2) byte-comparing that golden with session_runs.golden. Any wiring change
-// that makes frozen consult the cache — a stray note_use, an unconditional
+// Golden lockdown for `--cache-policy frozen`: the default cache policy
+// must leave every engine byte-identical to the pre-cache goldens. Frozen
+// constructs no ExpertCache anywhere, so the snapshot here runs the exact
+// same code as tests/engines/session_determinism_test.cpp — and this test
+// proves it by comparing its snapshots block by block, and then byte for
+// byte, against that test's session_runs.golden. Any wiring change that
+// makes frozen consult the cache — a stray note_use, an unconditional
 // plan() call, an extra metric family — diverges one of the 48 snapshot
 // blocks (8 engines x 2 workloads x 3 seeds) and fails here.
 //
-// Regenerate (only after an INTENTIONAL scheduling/tracing change, together
-// with session_runs.golden) with:
-//   DAOP_UPDATE_GOLDENS=1 ./cache_frozen_golden_test
+// session_determinism_test owns the golden: DAOP_UPDATE_GOLDENS regenerates
+// it there, never here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -52,7 +50,7 @@ std::uint64_t fnv1a(const std::string& s) {
 }
 
 /// One snapshot block, formatted exactly like session_determinism_test.cpp
-/// so cache_frozen.golden and session_runs.golden are byte-comparable.
+/// so the snapshots are byte-comparable with session_runs.golden.
 std::string run_snapshot(eval::EngineKind kind, const data::WorkloadSpec& wl,
                          std::uint64_t seed) {
   // The policy under lockdown: frozen is the default and constructs nothing.
@@ -127,7 +125,6 @@ std::string all_snapshots() {
   return out;
 }
 
-const char* kGoldenPath = DAOP_GOLDEN_DIR "/cache_frozen.golden";
 const char* kSessionGoldenPath = DAOP_GOLDEN_DIR "/session_runs.golden";
 
 std::string read_file(const char* path) {
@@ -140,13 +137,7 @@ std::string read_file(const char* path) {
 
 TEST(CacheFrozenGolden, MatchesCommittedGolden) {
   const std::string actual = all_snapshots();
-  if (std::getenv("DAOP_UPDATE_GOLDENS") != nullptr) {
-    std::ofstream f(kGoldenPath);
-    ASSERT_TRUE(f.good()) << "cannot write " << kGoldenPath;
-    f << actual;
-    GTEST_SKIP() << "goldens regenerated at " << kGoldenPath;
-  }
-  const std::string expected = read_file(kGoldenPath);
+  const std::string expected = read_file(kSessionGoldenPath);
   // Compare block by block so a failure names the first diverging run.
   std::istringstream ea(expected);
   std::istringstream aa(actual);
@@ -161,13 +152,8 @@ TEST(CacheFrozenGolden, MatchesCommittedGolden) {
   }
   EXPECT_FALSE(static_cast<bool>(std::getline(aa, aline)))
       << "snapshot has extra content after " << block;
-}
-
-TEST(CacheFrozenGolden, ByteIdenticalToPreCacheSessionGolden) {
-  // The actual lockdown: frozen's golden IS the pre-cache golden, byte for
-  // byte. If the cache PR had perturbed any frozen-path behaviour, the two
-  // files could not both pass their own tests and this comparison.
-  EXPECT_EQ(read_file(kGoldenPath), read_file(kSessionGoldenPath));
+  // Byte for byte, so line endings and the final newline count too.
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(CacheFrozenGolden, FrozenSpeedEvalKeepsTheEngineRunPath) {

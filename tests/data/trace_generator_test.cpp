@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace daop::data {
 namespace {
+
+/// Element-wise copy, so gtest compares (and prints) scores like vectors.
+std::vector<float> vec(std::span<const float> s) {
+  return {s.begin(), s.end()};
+}
 
 TraceGenerator make_gen(std::uint64_t seed = 7) {
   return TraceGenerator(c4(), /*n_layers=*/8, /*n_experts=*/8, /*top_k=*/2,
@@ -17,26 +25,33 @@ TEST(TraceGenerator, ShapeMatchesRequest) {
   EXPECT_EQ(tr.n_layers(), 8);
   EXPECT_EQ(tr.prompt_len, 12);
   EXPECT_EQ(tr.gen_len, 20);
-  ASSERT_EQ(tr.prefill.size(), 8U);
-  ASSERT_EQ(tr.decode.size(), 8U);
-  for (const auto& lt : tr.prefill) EXPECT_EQ(lt.tokens.size(), 12U);
-  for (const auto& lt : tr.decode) EXPECT_EQ(lt.tokens.size(), 20U);
-  EXPECT_EQ(tr.at(Phase::Decode, 3, 5).scores.size(), 8U);
+  for (int l = 0; l < 8; ++l) {
+    for (int t = 0; t < 12; ++t) {
+      EXPECT_EQ(tr.at(Phase::Prefill, l, t).scores.size(), 8U);
+    }
+    for (int t = 0; t < 20; ++t) {
+      EXPECT_EQ(tr.at(Phase::Decode, l, t).scores.size(), 8U);
+    }
+  }
+  EXPECT_THROW(tr.at(Phase::Prefill, 0, 12), CheckError);
+  EXPECT_THROW(tr.at(Phase::Decode, 0, 20), CheckError);
 }
 
 TEST(TraceGenerator, DeterministicPerSequenceIndex) {
   const auto a = make_gen().generate(4);
   const auto b = make_gen().generate(4);
-  EXPECT_EQ(a.at(Phase::Decode, 2, 7).scores, b.at(Phase::Decode, 2, 7).scores);
-  EXPECT_EQ(a.at(Phase::Prefill, 5, 3).scores,
-            b.at(Phase::Prefill, 5, 3).scores);
+  EXPECT_EQ(vec(a.at(Phase::Decode, 2, 7).scores),
+            vec(b.at(Phase::Decode, 2, 7).scores));
+  EXPECT_EQ(vec(a.at(Phase::Prefill, 5, 3).scores),
+            vec(b.at(Phase::Prefill, 5, 3).scores));
 }
 
 TEST(TraceGenerator, DifferentSequencesDiffer) {
   const auto gen = make_gen();
   const auto a = gen.generate(0);
   const auto b = gen.generate(1);
-  EXPECT_NE(a.at(Phase::Decode, 0, 0).scores, b.at(Phase::Decode, 0, 0).scores);
+  EXPECT_NE(vec(a.at(Phase::Decode, 0, 0).scores),
+            vec(b.at(Phase::Decode, 0, 0).scores));
 }
 
 TEST(TraceGenerator, PredictionsOnlyForLayersAboveZero) {
@@ -116,6 +131,12 @@ TEST(TraceGenerator, RejectsBadConstruction) {
   WorkloadSpec bad = c4();
   bad.layer_rho = 1.0;
   EXPECT_THROW(TraceGenerator(bad, 8, 8, 2, 1), CheckError);
+}
+
+TEST(TraceGenerator, RejectsTopKAboveInlineCapacity) {
+  const int experts = 2 * kMaxTopK;
+  EXPECT_NO_THROW(TraceGenerator(c4(), 2, experts, kMaxTopK, 1));
+  EXPECT_THROW(TraceGenerator(c4(), 2, experts, kMaxTopK + 1, 1), CheckError);
 }
 
 TEST(TraceGenerator, OutOfRangeAccessChecked) {

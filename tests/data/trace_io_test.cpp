@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/check.hpp"
 #include "data/trace_generator.hpp"
 
 namespace daop::data {
 namespace {
+
+/// Element-wise copy, so gtest compares (and prints) scores like vectors.
+std::vector<float> vec(std::span<const float> s) {
+  return {s.begin(), s.end()};
+}
 
 SequenceTrace sample_trace() {
   const TraceGenerator gen(c4(), 4, 8, 2, 123);
@@ -29,14 +36,14 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.gen_len, original.gen_len);
   for (int l = 0; l < original.n_layers(); ++l) {
     for (int t = 0; t < original.prompt_len; ++t) {
-      EXPECT_EQ(loaded.at(Phase::Prefill, l, t).scores,
-                original.at(Phase::Prefill, l, t).scores);
+      EXPECT_EQ(vec(loaded.at(Phase::Prefill, l, t).scores),
+                vec(original.at(Phase::Prefill, l, t).scores));
     }
     for (int t = 0; t < original.gen_len; ++t) {
-      EXPECT_EQ(loaded.at(Phase::Decode, l, t).scores,
-                original.at(Phase::Decode, l, t).scores);
-      EXPECT_EQ(loaded.at(Phase::Decode, l, t).pred_scores,
-                original.at(Phase::Decode, l, t).pred_scores);
+      EXPECT_EQ(vec(loaded.at(Phase::Decode, l, t).scores),
+                vec(original.at(Phase::Decode, l, t).scores));
+      EXPECT_EQ(vec(loaded.at(Phase::Decode, l, t).pred_scores),
+                vec(original.at(Phase::Decode, l, t).pred_scores));
     }
   }
 }
@@ -124,6 +131,28 @@ TEST(TraceIo, RejectsBadHeader) {
   EXPECT_THROW(load_trace(in2), CheckError);
 }
 
+TEST(TraceIo, RejectsTopKAboveInlineCapacity) {
+  const auto header = [](int top_k) {
+    std::ostringstream os;
+    os << "daop-trace v1\nheader 1 " << 2 * kMaxTopK << ' ' << top_k
+       << " 1 0\nP 0 0";
+    for (int e = 0; e < 2 * kMaxTopK; ++e) os << ' ' << e;
+    os << '\n';
+    return os.str();
+  };
+  std::stringstream ok(header(kMaxTopK));
+  EXPECT_EQ(load_trace(ok).top_k, kMaxTopK);
+  std::stringstream over(header(kMaxTopK + 1));
+  EXPECT_THROW(load_trace(over), CheckError);
+}
+
+TEST(TraceIo, RejectsHeaderTooLargeToAllocate) {
+  std::stringstream in(
+      "daop-trace v1\n"
+      "header 2000000000 8 2 2000000000 1\n");
+  EXPECT_THROW(load_trace(in), CheckError);
+}
+
 // Round-trip property sweep across trace shapes (including degenerate ones).
 class TraceIoRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, int, int, int, int>> {};
@@ -138,14 +167,14 @@ TEST_P(TraceIoRoundTrip, Exact) {
   const SequenceTrace loaded = load_trace(ss);
   for (int l = 0; l < layers; ++l) {
     for (int t = 0; t < prompt; ++t) {
-      ASSERT_EQ(loaded.at(Phase::Prefill, l, t).scores,
-                original.at(Phase::Prefill, l, t).scores);
+      ASSERT_EQ(vec(loaded.at(Phase::Prefill, l, t).scores),
+                vec(original.at(Phase::Prefill, l, t).scores));
     }
     for (int t = 0; t < gen; ++t) {
-      ASSERT_EQ(loaded.at(Phase::Decode, l, t).scores,
-                original.at(Phase::Decode, l, t).scores);
-      ASSERT_EQ(loaded.at(Phase::Decode, l, t).pred_scores,
-                original.at(Phase::Decode, l, t).pred_scores);
+      ASSERT_EQ(vec(loaded.at(Phase::Decode, l, t).scores),
+                vec(original.at(Phase::Decode, l, t).scores));
+      ASSERT_EQ(vec(loaded.at(Phase::Decode, l, t).pred_scores),
+                vec(original.at(Phase::Decode, l, t).pred_scores));
     }
   }
 }

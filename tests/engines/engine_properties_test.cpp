@@ -147,7 +147,12 @@ TEST_P(EngineProperty, MispredictionsBoundedByPredictions) {
   // sticks to the already-cached expert 0 so prefill-time reallocation does
   // not pull expert 3 onto the GPU before decode gets to miss on it.
   auto tr = daop::testing::fixed_trace(cfg_, 8, 8, {3}, {1});
-  tr.prefill = daop::testing::fixed_trace(cfg_, 8, 8, {0}, {1}).prefill;
+  for (int l = 0; l < cfg_.n_layers; ++l) {
+    for (int t = 0; t < tr.prompt_len; ++t) {
+      daop::testing::write_scores(
+          tr.mutable_scores(data::Phase::Prefill, l, t), {0});
+    }
+  }
   core::DaopConfig dcfg;
   dcfg.min_predict_layer = 1;
   const auto r = eval::make_engine(GetParam(), costs_, dcfg)

@@ -78,7 +78,7 @@ TEST_F(FunctionalObservations, GateAheadPredictionBeatsChance) {
     int token = prompt[0];
     for (int pos = 0; pos < total_pos; ++pos) {
       model_.embed(token, x);
-      std::vector<std::vector<int>> predicted(
+      std::vector<TopK> predicted(
           static_cast<std::size_t>(cfg.n_layers));
       for (int l = 0; l < cfg.n_layers; ++l) {
         model_.attention_block(l, x, kv, pos);

@@ -136,7 +136,8 @@ TEST_F(FunctionalModelTest, OfficialBlockReportsGateLogits) {
   std::vector<float> logits;
   const auto d = model_.official_block(0, x, kv, 0, nullptr, &logits);
   ASSERT_EQ(static_cast<int>(logits.size()), cfg.n_experts);
-  EXPECT_EQ(topk_indices(logits, cfg.top_k), d.experts);
+  const TopK top = topk_indices(logits, cfg.top_k);
+  EXPECT_EQ(std::vector<int>(top.begin(), top.end()), d.experts);
 }
 
 TEST_F(FunctionalModelTest, GenerateProducesRequestedCount) {
@@ -220,6 +221,13 @@ TEST_F(FunctionalModelTest, TopKGreaterThanOneUsed) {
   ASSERT_EQ(d.weights.size(), 2U);
   EXPECT_GT(d.weights[1], 0.0F);
   EXPECT_LT(d.weights[0], 1.0F);
+}
+
+TEST(FunctionalModel, RejectsTopKAboveInlineCapacity) {
+  ModelConfig cfg = tiny_mixtral();
+  cfg.n_experts = 2 * kMaxTopK;
+  cfg.top_k = kMaxTopK + 1;
+  EXPECT_THROW(FunctionalModel(cfg, 1), CheckError);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "model/config.hpp"
 #include "sim/device.hpp"
+#include "tensor/ops.hpp"
 
 namespace daop::model {
 namespace {
@@ -118,6 +120,16 @@ TEST(MaxEcr, ZeroWhenNothingFits) {
   sim::PlatformSpec tiny = sim::a6000_i9_platform();
   tiny.gpu.mem_capacity_bytes = 1e9;  // smaller than non-MoE weights
   EXPECT_DOUBLE_EQ(max_expert_cache_ratio(mixtral_8x7b(), tiny), 0.0);
+}
+
+TEST(OpCosts, RejectsTopKAboveInlineCapacity) {
+  const sim::CostModel cm(sim::a100_xeon_platform());
+  ModelConfig cfg = mixtral_8x7b();
+  cfg.n_experts = 2 * kMaxTopK;
+  cfg.top_k = kMaxTopK;
+  EXPECT_NO_THROW(OpCosts(cfg, cm));
+  cfg.top_k = kMaxTopK + 1;
+  EXPECT_THROW(OpCosts(cfg, cm), CheckError);
 }
 
 }  // namespace

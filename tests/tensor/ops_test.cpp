@@ -183,8 +183,31 @@ TEST(Ops, TopkFullAndEmpty) {
   const std::vector<float> x = {2.0F, 1.0F};
   EXPECT_TRUE(topk_indices(x, 0).empty());
   const auto all = topk_indices(x, 2);
-  EXPECT_EQ(all, (std::vector<int>{0, 1}));
+  EXPECT_EQ(std::vector<int>(all.begin(), all.end()),
+            (std::vector<int>{0, 1}));
   EXPECT_THROW(topk_indices(x, 3), CheckError);
+}
+
+TEST(Ops, TopkRejectsKAboveInlineCapacity) {
+  std::vector<float> x(2 * kMaxTopK);
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<float>(i);
+  const TopK full = topk_indices(x, kMaxTopK);
+  ASSERT_EQ(full.size(), static_cast<std::size_t>(kMaxTopK));
+  EXPECT_EQ(full.front(), 2 * kMaxTopK - 1);
+  EXPECT_THROW(topk_indices(x, kMaxTopK + 1), CheckError);
+}
+
+TEST(Ops, InlineIdsRejectOverflow) {
+  InlineIds<2> ids;
+  ids.push_back(4);
+  ids.push_back(1);
+  EXPECT_TRUE(ids.contains(1));
+  EXPECT_FALSE(ids.contains(2));
+  EXPECT_THROW(ids.push_back(3), CheckError);
+  ids.truncate(1);
+  EXPECT_EQ(ids.size(), 1U);
+  EXPECT_EQ(ids.back(), 4);
+  EXPECT_THROW(ids.truncate(2), CheckError);
 }
 
 TEST(Ops, Argmax) {

@@ -2,6 +2,8 @@
 // traces with fully controlled expert selections and predictions.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "cache/placement.hpp"
@@ -20,6 +22,17 @@ inline model::ModelConfig small_mixtral(int n_layers = 4) {
   return c;
 }
 
+/// Writes scores that rank `sel` first, in order (10, 9, ...), and every
+/// other expert at 0.
+inline void write_scores(std::span<float> s, const std::vector<int>& sel) {
+  std::fill(s.begin(), s.end(), 0.0F);
+  float v = 10.0F;
+  for (int e : sel) {
+    s[static_cast<std::size_t>(e)] = v;
+    v -= 1.0F;
+  }
+}
+
 /// A trace where every token at every layer selects exactly `experts`
 /// (descending preference) and predictions point at `predicted`
 /// (empty => same as experts) for layers >= 1.
@@ -29,33 +42,14 @@ inline data::SequenceTrace fixed_trace(const model::ModelConfig& cfg,
                                        std::vector<int> predicted = {}) {
   if (predicted.empty()) predicted = experts;
   data::SequenceTrace tr;
-  tr.n_experts = cfg.n_experts;
-  tr.top_k = cfg.top_k;
-  tr.prompt_len = prompt_len;
-  tr.gen_len = gen_len;
-  tr.prefill.resize(static_cast<std::size_t>(cfg.n_layers));
-  tr.decode.resize(static_cast<std::size_t>(cfg.n_layers));
-
-  auto scores_for = [&](const std::vector<int>& sel) {
-    std::vector<float> s(static_cast<std::size_t>(cfg.n_experts), 0.0F);
-    float v = 10.0F;
-    for (int e : sel) {
-      s[static_cast<std::size_t>(e)] = v;
-      v -= 1.0F;
-    }
-    return s;
-  };
-
+  tr.reshape(cfg.n_layers, cfg.n_experts, cfg.top_k, prompt_len, gen_len);
   for (int l = 0; l < cfg.n_layers; ++l) {
-    auto& pf = tr.prefill[static_cast<std::size_t>(l)].tokens;
-    pf.resize(static_cast<std::size_t>(prompt_len));
-    for (auto& tok : pf) tok.scores = scores_for(experts);
-
-    auto& dc = tr.decode[static_cast<std::size_t>(l)].tokens;
-    dc.resize(static_cast<std::size_t>(gen_len));
-    for (auto& tok : dc) {
-      tok.scores = scores_for(experts);
-      if (l >= 1) tok.pred_scores = scores_for(predicted);
+    for (int t = 0; t < prompt_len; ++t) {
+      write_scores(tr.mutable_scores(data::Phase::Prefill, l, t), experts);
+    }
+    for (int t = 0; t < gen_len; ++t) {
+      write_scores(tr.mutable_scores(data::Phase::Decode, l, t), experts);
+      if (l >= 1) write_scores(tr.mutable_pred_scores(l, t), predicted);
     }
   }
   return tr;
@@ -69,21 +63,11 @@ inline data::SequenceTrace alternating_trace(const model::ModelConfig& cfg,
                                              const std::vector<int>& a,
                                              const std::vector<int>& b) {
   data::SequenceTrace tr = fixed_trace(cfg, prompt_len, gen_len, a);
-  auto scores_for = [&](const std::vector<int>& sel) {
-    std::vector<float> s(static_cast<std::size_t>(cfg.n_experts), 0.0F);
-    float v = 10.0F;
-    for (int e : sel) {
-      s[static_cast<std::size_t>(e)] = v;
-      v -= 1.0F;
-    }
-    return s;
-  };
   for (int l = 0; l < cfg.n_layers; ++l) {
-    auto& dc = tr.decode[static_cast<std::size_t>(l)].tokens;
     for (int t = 0; t < gen_len; ++t) {
       const auto& sel = (t % 2 == 0) ? a : b;
-      dc[static_cast<std::size_t>(t)].scores = scores_for(sel);
-      if (l >= 1) dc[static_cast<std::size_t>(t)].pred_scores = scores_for(sel);
+      write_scores(tr.mutable_scores(data::Phase::Decode, l, t), sel);
+      if (l >= 1) write_scores(tr.mutable_pred_scores(l, t), sel);
     }
   }
   return tr;
