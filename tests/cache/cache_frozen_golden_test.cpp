@@ -2,8 +2,8 @@
 // must leave every engine byte-identical to the pre-cache goldens. Frozen
 // constructs no ExpertCache anywhere, so the snapshot here runs the exact
 // same code as tests/engines/session_determinism_test.cpp — and this test
-// proves it by comparing its snapshots block by block, and then byte for
-// byte, against that test's session_runs.golden. Any wiring change that
+// proves it by comparing its snapshots block by block, and byte for byte,
+// against that test's session_runs.golden. Any wiring change that
 // makes frozen consult the cache — a stray note_use, an unconditional
 // plan() call, an extra metric family — diverges one of the 48 snapshot
 // blocks (8 engines x 2 workloads x 3 seeds) and fails here.
@@ -152,8 +152,12 @@ TEST(CacheFrozenGolden, MatchesCommittedGolden) {
   }
   EXPECT_FALSE(static_cast<bool>(std::getline(aa, aline)))
       << "snapshot has extra content after " << block;
-  // Byte for byte, so line endings and the final newline count too.
-  EXPECT_EQ(actual, expected);
+}
+
+TEST(CacheFrozenGolden, ByteIdenticalToPreCacheSessionGolden) {
+  // The actual lockdown: frozen's snapshots ARE the pre-cache golden, byte
+  // for byte, so line endings and the final newline count too.
+  EXPECT_EQ(all_snapshots(), read_file(kSessionGoldenPath));
 }
 
 TEST(CacheFrozenGolden, FrozenSpeedEvalKeepsTheEngineRunPath) {
