@@ -58,6 +58,7 @@ data::SequenceTrace micro_trace(const model::ModelConfig& cfg) {
     std::ranges::copy(dec,
                       tr.mutable_scores(data::Phase::Prefill, l, 0).begin());
   }
+  tr.route();
   return tr;
 }
 

@@ -4,6 +4,7 @@
 // hardware) and guard against performance regressions.
 #include <benchmark/benchmark.h>
 
+#include "cache/calibration.hpp"
 #include "cache/placement.hpp"
 #include "common/rng.hpp"
 #include "data/trace_generator.hpp"
@@ -78,8 +79,9 @@ void BM_TimelineSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineSchedule);
 
-// One Mixtral trace at (prompt, gen) tokens: the flat buffers cost the same
-// four allocations at any length, so time scales with the RNG draws alone.
+// One Mixtral trace at (prompt, gen) tokens, routed: the flat buffers cost
+// the same allocations at any length, so time scales with the RNG draws
+// and the per-cell top-k.
 void BM_TraceGeneration(benchmark::State& state) {
   const model::ModelConfig cfg = model::mixtral_8x7b();
   const data::TraceGenerator gen(data::c4(), cfg.n_layers, cfg.n_experts,
@@ -94,6 +96,37 @@ void BM_TraceGeneration(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (prompt + gen_len));
 }
 BENCHMARK(BM_TraceGeneration)->Args({64, 64})->Args({256, 512});
+
+// The routing index of one Mixtral trace at [256, 512]: top-k of every
+// prefill, decode and predicted cell (items = cells ranked).
+void BM_RouteTrace(benchmark::State& state) {
+  const model::ModelConfig cfg = model::mixtral_8x7b();
+  const data::TraceGenerator gen(data::c4(), cfg.n_layers, cfg.n_experts,
+                                 cfg.top_k, 5);
+  data::SequenceTrace tr = gen.generate(0, 256, 512);
+  for (auto _ : state) {
+    tr.route();
+    benchmark::DoNotOptimize(tr.selected(data::Phase::Decode, 0, 0).front());
+  }
+  const std::int64_t cells =
+      cfg.n_layers * (256 + 512) + (cfg.n_layers - 1) * 512;
+  state.SetItemsProcessed(state.iterations() * cells);
+}
+BENCHMARK(BM_RouteTrace);
+
+// §IV-A calibration as each sweep model needs it: 32 Mixtral ShareGPT
+// sequences, decode routing only (items = decode tokens counted).
+void BM_Calibration(benchmark::State& state) {
+  const model::ModelConfig cfg = model::mixtral_8x7b();
+  const data::TraceGenerator gen(data::sharegpt_calibration(), cfg.n_layers,
+                                 cfg.n_experts, cfg.top_k, 7 ^ 0xCA11B);
+  for (auto _ : state) {
+    const auto counts = cache::calibrate_activation_counts(gen, 32);
+    benchmark::DoNotOptimize(counts.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 32 * gen.spec().gen_len);
+}
+BENCHMARK(BM_Calibration)->Unit(benchmark::kMillisecond);
 
 // Router top-k over one token's gate logits (k = 2 at 8 and 16 experts,
 // the Mixtral and Phi-3.5-MoE shapes).

@@ -74,6 +74,23 @@ double Rng::normal() {
   return r * std::cos(theta);
 }
 
+void Rng::discard_normals(std::size_t n) {
+  if (n == 0) return;
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  for (; n >= 2; n -= 2) {
+    // One Box-Muller pair: u1 is redrawn while uniform() == 0, then u2.
+    while ((next_u64() >> 11) == 0) {
+    }
+    next_u64();
+  }
+  // An odd tail draws a pair and keeps its second variate, which the next
+  // normal() returns, so that variate is computed for real.
+  if (n == 1) (void)normal();
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

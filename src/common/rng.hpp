@@ -42,6 +42,11 @@ class Rng {
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev);
 
+  /// Advances the stream exactly as `n` calls to normal() would (the
+  /// cached second variate and the u1 == 0 redraw included) without the
+  /// log and sincos work of the variates that are thrown away.
+  void discard_normals(std::size_t n);
+
   /// Gamma(alpha, 1) via Marsaglia-Tsang; alpha > 0.
   double gamma(double alpha);
 

@@ -235,7 +235,7 @@ class DaopSession final : public engines::SequenceSession {
           sim::Res::GpuStream, ready_, costs_.nonmoe_gpu(ctx), "non-MoE");
 
       const data::TokenRouting tok = trace().at(data::Phase::Decode, l, t);
-      TopK selected = topk_indices(tok.scores, cfg.top_k);
+      TopK selected = trace().selected(data::Phase::Decode, l, t);
       if (tracing()) {
         tinstant(engines::tracks::kGate, "gate L" + std::to_string(l),
                  nonmoe_end);
@@ -389,7 +389,7 @@ class DaopSession final : public engines::SequenceSession {
                 tinstant(engines::tracks::kPrediction,
                          "predict L" + std::to_string(nl), nonmoe_end);
           }
-          TopK predicted = topk_indices(ntok.pred_scores, cfg.top_k);
+          TopK predicted = trace().predicted(nl, t);
           // Under adaptive skipping, confident predictions only need their
           // top-1 expert pre-calculated.
           if (config_.skip_top1_margin > 0.0 && predicted.size() >= 2 &&
@@ -554,6 +554,8 @@ std::unique_ptr<engines::SequenceSession> DaopEngine::open_session(
   const model::ModelConfig& cfg = costs_.config();
   DAOP_CHECK_EQ(initial.n_layers(), cfg.n_layers);
   DAOP_CHECK_EQ(initial.n_experts(), cfg.n_experts);
+  // The session reads the trace's top-k ids but plans with cfg.top_k.
+  DAOP_CHECK_EQ(trace.top_k, cfg.top_k);
   // Degradation directives (overload plane) narrow THIS session's policy;
   // the engine config — and the engine's reported name — are unchanged.
   DaopConfig session_cfg = config_;

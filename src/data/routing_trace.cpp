@@ -23,6 +23,7 @@ void SequenceTrace::reshape(int n_layers, int n_experts_in, int top_k_in,
   decode_.assign(L * static_cast<std::size_t>(gen_len) * E, 0.0F);
   pred_.assign(decode_.size(), 0.0F);
   has_pred_.assign(L * static_cast<std::size_t>(gen_len), 0);
+  routed_ = false;
 }
 
 std::size_t SequenceTrace::offset(Phase phase, int layer, int token) const {
@@ -54,6 +55,7 @@ TokenRouting SequenceTrace::at(Phase phase, int layer, int token) const {
 std::span<float> SequenceTrace::mutable_scores(Phase phase, int layer,
                                                int token) {
   const std::size_t cell = offset(phase, layer, token);
+  routed_ = false;
   const auto E = static_cast<std::size_t>(n_experts);
   return std::span<float>(phase == Phase::Prefill ? prefill_ : decode_)
       .subspan(cell * E, E);
@@ -62,18 +64,67 @@ std::span<float> SequenceTrace::mutable_scores(Phase phase, int layer,
 std::span<float> SequenceTrace::mutable_pred_scores(int layer, int token) {
   const std::size_t cell = offset(Phase::Decode, layer, token);
   has_pred_[cell] = 1;
+  routed_ = false;
   const auto E = static_cast<std::size_t>(n_experts);
   return std::span<float>(pred_).subspan(cell * E, E);
 }
 
+void SequenceTrace::route() {
+  DAOP_CHECK(top_k > 0 && top_k <= n_experts);
+  DAOP_CHECK_LE(n_experts, kMaxRoutedExperts);
+  const auto E = static_cast<std::size_t>(n_experts);
+  const auto k = static_cast<std::size_t>(top_k);
+  const std::size_t n_prefill = prefill_.size() / E;
+  const std::size_t n_decode = decode_.size() / E;
+  ids_.resize((n_prefill + 2 * n_decode) * k);
+  const auto put = [&](const std::vector<float>& scores, std::size_t cell,
+                       std::size_t index_cell) {
+    const TopK top =
+        topk_indices(std::span<const float>(scores).subspan(cell * E, E),
+                     top_k);
+    for (std::size_t i = 0; i < k; ++i) {
+      ids_[index_cell * k + i] = static_cast<std::uint8_t>(top[i]);
+    }
+  };
+  for (std::size_t c = 0; c < n_prefill; ++c) put(prefill_, c, c);
+  for (std::size_t c = 0; c < n_decode; ++c) put(decode_, c, n_prefill + c);
+  for (std::size_t c = 0; c < n_decode; ++c) {
+    if (has_pred_[c] != 0) put(pred_, c, n_prefill + n_decode + c);
+  }
+  routed_ = true;
+}
+
+void SequenceTrace::check_routed() const {
+  DAOP_CHECK_MSG(routed_,
+                 "routing index read on a trace that is not routed (call "
+                 "route() after filling its scores)");
+}
+
+TopK SequenceTrace::ids_at(std::size_t cell) const {
+  check_routed();
+  const auto k = static_cast<std::size_t>(top_k);
+  // Guards the index against shape fields edited without reshape().
+  DAOP_CHECK_LE((cell + 1) * k, ids_.size());
+  TopK out;
+  for (std::size_t i = 0; i < k; ++i) out.push_back(ids_[cell * k + i]);
+  return out;
+}
+
 TopK SequenceTrace::selected(Phase phase, int layer, int token) const {
-  return topk_indices(at(phase, layer, token).scores, top_k);
+  const std::size_t cell = offset(phase, layer, token);
+  if (phase == Phase::Prefill) return ids_at(cell);
+  return ids_at(static_cast<std::size_t>(n_layers_) *
+                    static_cast<std::size_t>(prompt_len) +
+                cell);
 }
 
 TopK SequenceTrace::predicted(int layer, int token) const {
-  const TokenRouting tr = at(Phase::Decode, layer, token);
-  if (tr.pred_scores.empty()) return {};
-  return topk_indices(tr.pred_scores, top_k);
+  const std::size_t cell = offset(Phase::Decode, layer, token);
+  check_routed();
+  if (has_pred_[cell] == 0) return {};
+  const auto L = static_cast<std::size_t>(n_layers_);
+  return ids_at(L * static_cast<std::size_t>(prompt_len) +
+                L * static_cast<std::size_t>(gen_len) + cell);
 }
 
 std::vector<std::vector<double>> SequenceTrace::count_window(Phase phase,

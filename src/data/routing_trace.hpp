@@ -24,22 +24,31 @@ struct TokenRouting {
   std::span<const float> pred_scores;
 };
 
+/// Largest n_experts a routed trace holds: route() stores expert ids as
+/// bytes.
+inline constexpr int kMaxRoutedExperts = 256;
+
 /// Complete routing trace of a single sequence through a model.
 ///
 /// Storage is flat: prefill scores, decode scores and decode predictions are
-/// three contiguous [layer][token][expert] float buffers, so a trace is four
-/// heap blocks whatever its length. Whether a decode cell carries a
-/// prediction is a per-(layer, token) flag, because the daop-trace format
-/// allows predictions cell by cell.
+/// three contiguous [layer][token][expert] float buffers. Whether a decode
+/// cell carries a prediction is a per-(layer, token) flag, because the
+/// daop-trace format allows predictions cell by cell. route() adds the
+/// routing index, the top-k ids of every cell in one byte buffer, so a
+/// routed trace is five heap blocks whatever its length.
+///
+/// Builders reshape(), fill cells through mutable_scores() /
+/// mutable_pred_scores(), then route(). Every engine replaying the trace
+/// reads the index instead of re-running top-k; any mutable_*() call drops
+/// it, and the index readers raise CheckError until route() runs again.
 struct SequenceTrace {
   int n_experts = 0;
   int top_k = 0;
   int prompt_len = 0;
   int gen_len = 0;
 
-  /// Sets the shape and sizes the buffers: every score 0, no predictions.
-  /// The only way to change the shape; builders then fill cells through
-  /// mutable_scores() / mutable_pred_scores().
+  /// Sets the shape and sizes the buffers: every score 0, no predictions,
+  /// not routed. The only way to change the shape.
   void reshape(int n_layers, int n_experts, int top_k, int prompt_len,
                int gen_len);
 
@@ -47,16 +56,23 @@ struct SequenceTrace {
 
   TokenRouting at(Phase phase, int layer, int token) const;
 
-  /// True gate logits of one cell, writable.
+  /// True gate logits of one cell, writable; drops the routing index.
   std::span<float> mutable_scores(Phase phase, int layer, int token);
   /// Predicted logits of one decode cell, writable; marks the cell as
-  /// carrying a prediction.
+  /// carrying a prediction and drops the routing index.
   std::span<float> mutable_pred_scores(int layer, int token);
 
-  /// Top-k expert ids for a token (descending true score).
+  /// Builds the routing index: topk_indices() of every prefill, decode and
+  /// predicted cell, computed once. Requires top_k in [1, kMaxTopK] and
+  /// n_experts <= kMaxRoutedExperts.
+  void route();
+
+  /// Top-k expert ids for a token (descending true score). Reads the
+  /// routing index; CheckError on a trace that is not routed.
   TopK selected(Phase phase, int layer, int token) const;
 
   /// Top-k expert ids by predicted score; empty when no prediction exists.
+  /// Reads the routing index like selected().
   TopK predicted(int layer, int token) const;
 
   /// Activation-count matrix for a phase: out[layer][expert] = number of
@@ -69,6 +85,11 @@ struct SequenceTrace {
  private:
   /// Cell index (layer * tokens + token) after bounds checks.
   std::size_t offset(Phase phase, int layer, int token) const;
+  /// CheckError unless the routing index is current.
+  void check_routed() const;
+  /// The top_k ids stored at index cell `cell` (prefill cells first, then
+  /// decode cells, then prediction cells).
+  TopK ids_at(std::size_t cell) const;
   /// Activation counts over tokens [t0, t1) of a phase.
   std::vector<std::vector<double>> count_window(Phase phase, int t0,
                                                 int t1) const;
@@ -79,6 +100,10 @@ struct SequenceTrace {
   std::vector<float> pred_;
   /// [layer][decode token]: 1 when pred_ holds a prediction for the cell.
   std::vector<std::uint8_t> has_pred_;
+  /// Routing index, top_k ids per cell: prefill cells, then decode cells,
+  /// then prediction cells (unset where a cell has no prediction).
+  std::vector<std::uint8_t> ids_;
+  bool routed_ = false;
 };
 
 }  // namespace daop::data

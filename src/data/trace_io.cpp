@@ -92,6 +92,7 @@ SequenceTrace load_trace(std::istream& is) {
                      "malformed header");
       DAOP_CHECK_GT(n_layers, 0);
       DAOP_CHECK_GT(n_experts, 0);
+      DAOP_CHECK_LE(n_experts, kMaxRoutedExperts);
       DAOP_CHECK(top_k > 0 && top_k <= n_experts);
       DAOP_CHECK_LE(top_k, kMaxTopK);
       DAOP_CHECK_GT(prompt_len, 0);
@@ -145,6 +146,7 @@ SequenceTrace load_trace(std::istream& is) {
                  "missing prefill cells: " << prefill_cells);
   DAOP_CHECK_MSG(decode_cells == n_layers * trace.gen_len,
                  "missing decode cells: " << decode_cells);
+  trace.route();
   return trace;
 }
 

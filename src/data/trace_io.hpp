@@ -10,7 +10,8 @@
 //   header <n_layers> <n_experts> <top_k> <prompt_len> <gen_len>
 //   P <layer> <token> <score_0> ... <score_{E-1}>
 //   D <layer> <token> <score_0> ... <score_{E-1}> [| <pred_0> ... <pred_{E-1}>]
-// All (phase, layer, token) cells must be present exactly once.
+// All (phase, layer, token) cells must be present exactly once, and
+// n_experts may not exceed 256 (kMaxRoutedExperts).
 #pragma once
 
 #include <iosfwd>
@@ -21,7 +22,8 @@
 namespace daop::data {
 
 void save_trace(const SequenceTrace& trace, std::ostream& os);
-/// Throws CheckError on malformed input (missing cells, bad counts, ...).
+/// Returns a routed trace. Throws CheckError on malformed input (missing
+/// cells, bad counts, ...).
 SequenceTrace load_trace(std::istream& is);
 
 /// File wrappers; throw CheckError on I/O failure.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cache/placement.hpp"
 #include "common/check.hpp"
 #include "data/workload.hpp"
@@ -55,6 +58,62 @@ TEST(Calibration, FeedsPlacementInit) {
   const Placement p = init_placement_calibrated(8, 8, 0.5, counts);
   EXPECT_EQ(p.total_gpu_count(), 32);
 }
+
+/// What calibration stood for before it stopped building traces: decode
+/// top-k counts of every materialised calibration trace.
+std::vector<std::vector<double>> counts_from_traces(
+    const data::TraceGenerator& gen, int n_sequences) {
+  std::vector<std::vector<double>> counts(
+      static_cast<std::size_t>(gen.n_layers()),
+      std::vector<double>(static_cast<std::size_t>(gen.n_experts()), 0.0));
+  for (int s = 0; s < n_sequences; ++s) {
+    const data::SequenceTrace tr = gen.generate(s);
+    for (int l = 0; l < tr.n_layers(); ++l) {
+      for (int t = 0; t < tr.gen_len; ++t) {
+        for (int e : tr.selected(data::Phase::Decode, l, t)) {
+          counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] +=
+              1.0;
+        }
+      }
+    }
+  }
+  return counts;
+}
+
+struct CalibrationCase {
+  const char* name;
+  int n_layers;
+  int n_experts;
+  int top_k;
+  int prompt_len;
+  int gen_len;
+};
+
+class CalibrationEquivalence
+    : public ::testing::TestWithParam<CalibrationCase> {};
+
+TEST_P(CalibrationEquivalence, EqualsCountingGeneratedTraces) {
+  const CalibrationCase& c = GetParam();
+  data::WorkloadSpec spec = data::sharegpt_calibration();
+  spec.prompt_len = c.prompt_len;
+  spec.gen_len = c.gen_len;
+  const data::TraceGenerator gen(spec, c.n_layers, c.n_experts, c.top_k,
+                                 0xCA11B ^ 7);
+  EXPECT_EQ(calibrate_activation_counts(gen, 3), counts_from_traces(gen, 3));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, CalibrationEquivalence,
+    ::testing::Values(
+        CalibrationCase{"Mixtral", 32, 8, 2, 64, 48},
+        CalibrationCase{"Phi35", 32, 16, 2, 64, 48},
+        // Odd E and k = 3: prefill and prediction discards end mid-pair.
+        CalibrationCase{"E7K3", 5, 7, 3, 3, 9},
+        CalibrationCase{"NoDecode", 4, 8, 2, 5, 0},
+        CalibrationCase{"OneTokenPrompt", 4, 8, 2, 1, 7}),
+    [](const ::testing::TestParamInfo<CalibrationCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Calibration, RejectsZeroSequences) {
   EXPECT_THROW(calibrate_activation_counts(make_gen(), 0), daop::CheckError);

@@ -179,6 +179,61 @@ TEST(Rng, ForkStreamsAreDecorrelated) {
   EXPECT_EQ(equal, 0);
 }
 
+/// Same stream position: equal saved state (the cached variate only while
+/// one is pending, since a stale one is never returned) and equal next 16
+/// normal draws.
+void expect_same_stream(Rng a, Rng b, std::size_t n) {
+  const Rng::State x = a.save_state();
+  const Rng::State y = b.save_state();
+  EXPECT_EQ(x.s, y.s) << "n=" << n;
+  EXPECT_EQ(x.seed, y.seed) << "n=" << n;
+  ASSERT_EQ(x.has_cached_normal, y.has_cached_normal) << "n=" << n;
+  if (x.has_cached_normal) EXPECT_EQ(x.cached_normal, y.cached_normal);
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(a.normal(), b.normal()) << "n=" << n << " draw " << i;
+  }
+}
+
+void expect_discard_matches_normal_calls(const Rng& start) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{8},
+                              std::size_t{65537}}) {
+    Rng drawn = start;
+    for (std::size_t i = 0; i < n; ++i) (void)drawn.normal();
+    Rng discarded = start;
+    discarded.discard_normals(n);
+    expect_same_stream(drawn, discarded, n);
+  }
+}
+
+TEST(Rng, DiscardNormalsMatchesNormalCalls) {
+  const Rng uncached(77);
+  expect_discard_matches_normal_calls(uncached);
+  Rng cached(78);
+  (void)cached.normal();
+  ASSERT_TRUE(cached.save_state().has_cached_normal);
+  expect_discard_matches_normal_calls(cached);
+}
+
+TEST(Rng, DiscardNormalsRedrawsZeroUniformLikeNormal) {
+  // xoshiro256** outputs rotl(s[1] * 5, 7) * 9, so s[1] == 0 makes the next
+  // raw draw exactly 0: the first uniform is 0 and Box-Muller redraws u1.
+  Rng::State st = Rng(79).save_state();
+  st.s[1] = 0;
+  st.has_cached_normal = false;
+  Rng uncached;
+  uncached.load_state(st);
+  ASSERT_EQ(Rng(uncached).next_u64(), 0U);
+  expect_discard_matches_normal_calls(uncached);
+
+  // Same, with a pending variate consumed before the redrawn pair.
+  st.has_cached_normal = true;
+  st.cached_normal = 0.25;
+  Rng cached;
+  cached.load_state(st);
+  expect_discard_matches_normal_calls(cached);
+}
+
 TEST(Rng, ShufflePreservesElements) {
   Rng rng(19);
   std::vector<int> v(100);

@@ -78,6 +78,7 @@ TEST_F(DaopExtensionsPerfTest, DecodeReallocFollowsDrift) {
       }
     }
   }
+  tr.route();
   const auto placement = prefix_placement(cfg, 2);
 
   DaopConfig frozen;

@@ -3,8 +3,10 @@
 //
 //  - TraceGenerator::generate allocates a fixed number of blocks whatever
 //    the sequence length: the trace is three flat [layer][token][expert]
-//    buffers plus the prediction flags, and the generator's scratch is flat
-//    per-layer rows.
+//    buffers plus the prediction flags and the routing index, and the
+//    generator's scratch is one buffer of flat per-layer rows.
+//  - Calibration builds no trace: it allocates its count matrix and one
+//    scratch buffer however many sequences it walks.
 //  - Once warm, a decode step of every engine allocates nothing (tracing
 //    off, no interval recording): top-k ids are inline, the fetch engines'
 //    protect sets are spans over them, and DAOP reuses one pre-calculation
@@ -80,8 +82,22 @@ TEST(RoutingAlloc, TraceGenerationAllocationsIndependentOfLength) {
   const long long long_trace =
       allocations([&] { (void)gen.generate(1, 64, 128); });
   EXPECT_EQ(short_trace, long_trace);
-  // Four trace buffers plus three rows of generator scratch.
-  EXPECT_EQ(short_trace, 7);
+  // Four trace buffers, the routing index and the generator's scratch.
+  EXPECT_EQ(short_trace, 6);
+}
+
+TEST(RoutingAlloc, CalibrationAllocationsIndependentOfSequenceCount) {
+  const model::ModelConfig cfg = model::mixtral_8x7b();
+  const data::TraceGenerator gen(data::sharegpt_calibration(), cfg.n_layers,
+                                 cfg.n_experts, cfg.top_k, 5);
+  const long long one =
+      allocations([&] { (void)cache::calibrate_activation_counts(gen, 1); });
+  const long long eight =
+      allocations([&] { (void)cache::calibrate_activation_counts(gen, 8); });
+  EXPECT_EQ(one, eight);
+  // The [layer][expert] count matrix (the outer block, the row it is
+  // filled from and one row per layer) plus the generator's scratch.
+  EXPECT_EQ(one, cfg.n_layers + 3);
 }
 
 class DecodeStepAlloc : public ::testing::TestWithParam<eval::EngineKind> {};

@@ -146,6 +146,22 @@ TEST(TraceIo, RejectsTopKAboveInlineCapacity) {
   EXPECT_THROW(load_trace(over), CheckError);
 }
 
+TEST(TraceIo, RejectsMoreExpertsThanTheRoutingIndexHolds) {
+  const auto header = [](int n_experts) {
+    std::ostringstream os;
+    os << "daop-trace v1\nheader 1 " << n_experts << " 2 1 0\nP 0 0";
+    for (int e = 0; e < n_experts; ++e) os << ' ' << e;
+    os << '\n';
+    return os.str();
+  };
+  std::stringstream ok(header(kMaxRoutedExperts));
+  const SequenceTrace loaded = load_trace(ok);
+  EXPECT_EQ(loaded.n_experts, kMaxRoutedExperts);
+  EXPECT_EQ(loaded.selected(Phase::Prefill, 0, 0)[0], kMaxRoutedExperts - 1);
+  std::stringstream over(header(kMaxRoutedExperts + 1));
+  EXPECT_THROW(load_trace(over), CheckError);
+}
+
 TEST(TraceIo, RejectsHeaderTooLargeToAllocate) {
   std::stringstream in(
       "daop-trace v1\n"

@@ -153,6 +153,7 @@ TEST_P(EngineProperty, MispredictionsBoundedByPredictions) {
           tr.mutable_scores(data::Phase::Prefill, l, t), {0});
     }
   }
+  tr.route();
   core::DaopConfig dcfg;
   dcfg.min_predict_layer = 1;
   const auto r = eval::make_engine(GetParam(), costs_, dcfg)

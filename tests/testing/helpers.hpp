@@ -1,5 +1,7 @@
 // Shared test helpers: small model/platform setups and hand-built routing
-// traces with fully controlled expert selections and predictions.
+// traces with fully controlled expert selections and predictions. The
+// traces come back routed; a test that edits cells afterwards calls
+// route() again.
 #pragma once
 
 #include <algorithm>
@@ -52,6 +54,7 @@ inline data::SequenceTrace fixed_trace(const model::ModelConfig& cfg,
       if (l >= 1) write_scores(tr.mutable_pred_scores(l, t), predicted);
     }
   }
+  tr.route();
   return tr;
 }
 
@@ -70,6 +73,7 @@ inline data::SequenceTrace alternating_trace(const model::ModelConfig& cfg,
       if (l >= 1) write_scores(tr.mutable_pred_scores(l, t), sel);
     }
   }
+  tr.route();
   return tr;
 }
 
