@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/check.hpp"
@@ -66,8 +67,8 @@ ClusterRouter::ClusterRouter(std::vector<NodeSeat> seats,
   for (std::size_t i = 0; i < seats.size(); ++i) {
     NodeSeat& seat = seats[i];
     DAOP_CHECK_MSG(seat.engine != nullptr, "node seat needs an engine");
-    Node n;
-    n.id = static_cast<int>(i);
+    Node n(static_cast<int>(i), options_.max_concurrent_per_node,
+           options_.degrade);
     n.engine = std::move(seat.engine);
     n.fault = std::move(seat.fault);
     n.arbiter =
@@ -78,12 +79,6 @@ ClusterRouter::ClusterRouter(std::vector<NodeSeat> seats,
           options_.cache, n.arbiter->placement().n_layers(),
           n.arbiter->placement().n_experts());
     }
-    if (options_.degrade.enabled) {
-      n.degrade =
-          std::make_unique<eval::DegradationController>(options_.degrade);
-    }
-    n.free_slots.assign(
-        static_cast<std::size_t>(options_.max_concurrent_per_node), 0.0);
     if (n.fault != nullptr) {
       n.engine->set_fault_model(n.fault.get());
       const sim::FaultModel::NodeFaults& nf = n.fault->node_faults();
@@ -139,15 +134,13 @@ void ClusterRouter::enqueue(Request request) {
 }
 
 double ClusterRouter::projected_start(const Node& n, double t) const {
-  if (!n.free_slots.empty()) {
-    return std::max(t, *std::min_element(n.free_slots.begin(),
-                                         n.free_slots.end()));
-  }
+  const std::size_t slot = n.loop.earliest_free_slot();
+  if (slot != Loop::kNone) return std::max(t, n.loop.slot_time(slot));
   // Every slot is busy: approximate the next slot release as the earliest
   // in-flight frontier plus one service estimate. A node with neither slots
   // nor sessions (a crashed one) looks idle — the router has no oracle.
   double frontier = kInf;
-  for (const ActiveCopy& a : n.active) {
+  for (const Loop::Active& a : n.loop.active()) {
     frontier = std::min(frontier, a.session->ready_time());
   }
   if (frontier == kInf) return t;
@@ -187,7 +180,7 @@ int ClusterRouter::least_loaded_of(const std::vector<int>& eligible, double t,
   for (const int id : eligible) {
     if (id == exclude) continue;
     const Node& n = nodes_[static_cast<std::size_t>(id)];
-    const std::size_t depth = n.pending.size() + n.active.size();
+    const std::size_t depth = n.pending.size() + n.loop.active().size();
     const double start = projected_start(n, t);
     if (best < 0 || depth < best_depth ||
         (depth == best_depth && start < best_start)) {
@@ -235,19 +228,6 @@ int ClusterRouter::pick_node(const std::vector<int>& eligible,
   return least_loaded_of(tied, t, /*exclude=*/-1);
 }
 
-eval::DegradationController::Signals ClusterRouter::node_signals(
-    const Node& n) const {
-  eval::DegradationController::Signals s;
-  s.hazard_stall_s = n.timeline.hazard_stall_s();
-  s.migration_aborts = n.closed_aborts;
-  s.migration_retries = n.closed_retries;
-  for (const ActiveCopy& a : n.active) {
-    s.migration_aborts += a.session->counters().migration_aborts;
-    s.migration_retries += a.session->counters().migration_retries;
-  }
-  return s;
-}
-
 void ClusterRouter::tinstant(long long request_id, const std::string& name,
                              double t) {
   if (options_.tracer == nullptr) return;
@@ -271,7 +251,7 @@ void ClusterRouter::ts_tick(double t) {
                 static_cast<double>(n.pending.size()));
     r.gauge_set(n.id, "daop_active_sessions",
                 "Sessions in flight on the node.",
-                static_cast<double>(n.active.size()));
+                static_cast<double>(n.loop.active().size()));
     r.gauge_set(n.id, "daop_node_in_service",
                 "1 while the health checker routes to the node, else 0.",
                 health_.in_service(n.id) ? 1.0 : 0.0);
@@ -409,19 +389,16 @@ void ClusterRouter::cancel_copies(std::size_t track, double now) {
         ++it;
       }
     }
-    for (auto it = n.active.begin(); it != n.active.end();) {
-      if (it->track != track) {
-        ++it;
+    for (std::size_t i = 0; i < n.loop.active().size();) {
+      if (n.loop.active()[i].tag.track != track) {
+        ++i;
         continue;
       }
-      // The losing copy's already-scheduled work holds its slot until the
-      // session frontier passes; abandon() releases its arbiter pins.
-      const double slot_free = std::max(now, it->session->ready_time());
-      it->session->abandon(now);
-      n.free_slots.push_back(slot_free);
+      // abandon() releases the losing copy's arbiter pins; its slot stays
+      // held until the session frontier passes.
+      n.loop.abandon(i, now);
       --tr.live_copies;
       ++stats_.hedge_cancels;
-      it = n.active.erase(it);
     }
   }
   DAOP_CHECK_EQ(tr.live_copies, 0);
@@ -446,19 +423,15 @@ void ClusterRouter::crash_node(Node& n, double t) {
     n.ckpt->discard_in_flight(t);
   }
   tinstant(-1, "node " + std::to_string(n.id) + " crashed", t);
-  std::vector<ActiveCopy> lost_active;
-  lost_active.swap(n.active);
   std::deque<QueuedCopy> lost_queued;
   lost_queued.swap(n.pending);
-  n.free_slots.clear();
-  for (ActiveCopy& a : lost_active) {
-    const int tokens = a.session->tokens_generated();
-    // Teardown WITHOUT close(): the session's RAII pin guard releases its
-    // arbiter pins (satellite fix; asserted right below).
-    a.session.reset();
-    lost_copy(a.track, tokens, t, FailoverReason::kNodeCrash);
-  }
+  // Teardown WITHOUT close(): each session's RAII pin guard releases its
+  // arbiter pins (asserted right below).
+  const std::vector<Loop::Lost> lost_active = n.loop.crash();
   DAOP_CHECK_EQ(n.arbiter->total_pin_count(), 0);
+  for (const Loop::Lost& l : lost_active) {
+    lost_copy(l.tag.track, l.tokens, t, FailoverReason::kNodeCrash);
+  }
   for (const QueuedCopy& q : lost_queued) {
     lost_copy(q.track, 0, t, FailoverReason::kNodeCrash);
   }
@@ -682,30 +655,17 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
     std::size_t slot_i = kNone;
     for (const Node& n : nodes_) {
       if (!n.alive) continue;
-      int mc_eff = options_.max_concurrent_per_node;
-      if (n.degrade != nullptr && n.degrade->cap_concurrency()) {
-        mc_eff = std::max(1, mc_eff / 2);
-      }
       double t_admit = kInf;
       std::size_t slot = kNone;
-      if (!n.pending.empty() && !n.free_slots.empty() &&
-          static_cast<int>(n.active.size()) < mc_eff) {
-        slot = static_cast<std::size_t>(
-            std::min_element(n.free_slots.begin(), n.free_slots.end()) -
-            n.free_slots.begin());
-        t_admit = std::max(n.pending.front().ready, n.free_slots[slot]);
+      if (!n.pending.empty() && n.loop.slot_ok()) {
+        slot = n.loop.earliest_free_slot();
+        t_admit = std::max(n.pending.front().ready, n.loop.slot_time(slot));
       }
-      double t_step = kInf;
-      std::size_t si = kNone;
-      for (std::size_t i = 0; i < n.active.size(); ++i) {
-        const double r = n.active[i].session->ready_time();
-        if (r < t_step) {
-          t_step = r;
-          si = i;
-        }
-      }
+      const std::size_t si = n.loop.pick_step();
+      const double t_step =
+          si == kNone ? kInf : n.loop.active()[si].session->ready_time();
       // Within a node, admission wins ties against stepping — the same
-      // preference as the single-node scheduler loops.
+      // preference as the single-node scheduler.
       const bool admit = t_admit <= t_step;
       const double t_node = admit ? t_admit : t_step;
       if (t_node < best_t) {
@@ -798,47 +758,27 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
         n.pending.pop_front();
         continue;
       }
-      if (n.degrade != nullptr) n.degrade->observe(t_admit, node_signals(n));
+      n.loop.observe(t_admit, n.timeline.hazard_stall_s());
       // Deadline shedding against the ORIGINAL arrival: a copy that cannot
       // make its first token in time frees the slot for one that can.
       const double budget = tr.request.deadline_s > 0.0
                                 ? tr.request.deadline_s
                                 : options_.deadline_s;
-      if (budget > 0.0) {
-        const double dl_full = tr.request.arrival + budget;
-        const double dl_eff =
-            (n.degrade != nullptr && n.degrade->shed_aggressively())
-                ? tr.request.arrival + 0.5 * budget
-                : dl_full;
-        const double projected = t_admit + options_.service_estimate_s;
-        if (projected > dl_eff) {
-          n.pending.pop_front();
-          --tr.live_copies;
-          if (tr.live_copies == 0) {
-            resolve_shed(q.track,
-                         projected > dl_full ? eval::ShedReason::kDeadline
-                                             : eval::ShedReason::kDegraded,
-                         t_admit);
-          }
-          continue;
-        }
+      if (const std::optional<eval::ShedReason> verdict =
+              n.loop.shed_verdict(tr.request.arrival, budget, t_admit,
+                                  options_.service_estimate_s)) {
+        n.pending.pop_front();
+        --tr.live_copies;
+        if (tr.live_copies == 0) resolve_shed(q.track, *verdict, t_admit);
+        continue;
       }
-      engines::SessionEnv env;
-      env.timeline = &n.timeline;
-      env.start_time = t_admit;
-      env.request_id = tr.request.id;
-      env.arbiter = n.arbiter.get();
-      env.cache = n.cache.get();
-      env.shared = true;
-      if (n.degrade != nullptr) {
-        env.degrade_no_speculation = n.degrade->no_speculation();
-        env.degrade_no_migrations = n.degrade->no_migrations();
-      }
+      engines::SessionEnv env = n.loop.session_env(
+          n.timeline, *n.arbiter, n.cache.get(), t_admit, tr.request.id);
       env.failover_replay_tokens = static_cast<int>(tr.replayed_tokens);
-      ActiveCopy a;
-      a.track = q.track;
-      a.start = t_admit;
-      a.hedge = q.hedge;
+      Loop::Active a;
+      a.tag.track = q.track;
+      a.tag.start = t_admit;
+      a.tag.hedge = q.hedge;
       a.session = n.engine->open_session(tr.request.trace,
                                          n.arbiter->placement(), env);
       bool restored = false;
@@ -897,17 +837,15 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
                                : ""),
                  t_admit);
       }
-      n.free_slots.erase(n.free_slots.begin() +
-                         static_cast<std::ptrdiff_t>(slot_i));
-      n.active.push_back(std::move(a));
+      n.loop.admit(slot_i, std::move(a));
       n.pending.pop_front();
       continue;
     }
 
-    ActiveCopy& a = n.active[step_i];
+    const Loop::Active& a = n.loop.active()[step_i];
     if (a.session->decode_step()) {
       if (n.ckpt != nullptr) {
-        const long long rid = tracks_[a.track].request.id;
+        const long long rid = tracks_[a.tag.track].request.id;
         const long long step = a.session->tokens_generated();
         const double now = a.session->ready_time();
         if (n.ckpt->due(rid, step, now)) {
@@ -924,27 +862,17 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
       }
       continue;
     }
-    // For warm-restored sessions the session clock starts at the ORIGINAL
-    // admission (shifted), not this copy's re-admission, so completion time
-    // must come from the session's own start. For normal sessions
-    // start_time() == a.start exactly (bit-identical to the historical
-    // `a.start + r.total_s`).
-    const double session_start = a.session->start_time();
-    engines::RunResult r = a.session->close();
-    n.closed_aborts += r.counters.migration_aborts;
-    n.closed_retries += r.counters.migration_retries;
-    const double end = session_start + r.total_s;
-    const double start = a.start;
-    const bool hedge = a.hedge;
-    const std::size_t track = a.track;
-    n.free_slots.push_back(end);
-    n.active.erase(n.active.begin() + static_cast<std::ptrdiff_t>(step_i));
-    if (n.degrade != nullptr) n.degrade->observe(end, node_signals(n));
-    Track& tr = tracks_[track];
+    // Completion time comes from the session's own start, which for a
+    // warm-restored session is the ORIGINAL admission (shifted), not this
+    // copy's re-admission.
+    Loop::Closed c = n.loop.close(step_i);
+    n.loop.observe(c.end, n.timeline.hazard_stall_s());
+    Track& tr = tracks_[c.tag.track];
     --tr.live_copies;
-    resolve_served(track, n.id, start, end, hedge, std::move(r));
+    resolve_served(c.tag.track, n.id, c.tag.start, c.end, c.tag.hedge,
+                   std::move(c.result));
     // First completion wins: cancel the losing twin everywhere else.
-    if (tr.live_copies > 0) cancel_copies(track, end);
+    if (tr.live_copies > 0) cancel_copies(c.tag.track, c.end);
   }
 
   // ---- Final telemetry + conservation (cluster-aware: one outcome per
@@ -1000,7 +928,7 @@ std::vector<ClusterRouter::Outcome> ClusterRouter::run() {
       stats_.shed_node_lost + stats_.shed_deadline + stats_.shed_degraded,
       static_cast<long long>(shed));
   for (const Node& n : nodes_) {
-    DAOP_CHECK_MSG(n.pending.empty() && n.active.empty(),
+    DAOP_CHECK_MSG(n.pending.empty() && n.loop.idle(),
                    "node " << n.id << " finished with undrained work");
     // Satellite invariant: no session may leak pins — not through crash
     // teardown, hedging cancellation, or normal close.

@@ -1,13 +1,12 @@
 // ClusterRouter: fault-tolerant dispatch across N replicated serving nodes.
 //
-// One node is the single-device serving plane PR 1-5 built: an engine, a
-// sim::Timeline, a cache::PlacementArbiter-owned expert placement, a
-// degradation controller, and a continuous-batching-style session loop
-// (admit the queue head into a free slot, or advance the least-advanced
-// in-flight session by one token — eval/continuous_batching.cpp's loop,
-// replicated per node). The router composes N of them behind one dispatch
-// point and adds the robustness plane the ROADMAP's "millions of users"
-// target needs:
+// One node is the single-device serving plane: an engine, a sim::Timeline,
+// a cache::PlacementArbiter-owned expert placement, and an eval::NodeLoop —
+// the same session loop the continuous-batching scheduler runs (admit the
+// queue head into a free slot, or advance the least-advanced in-flight
+// session by one token), with the node's degradation controller. The
+// router composes N of them behind one dispatch point and adds the
+// robustness plane:
 //
 //  - DISPATCH POLICIES: round-robin (rotation over eligible nodes),
 //    least-loaded (queue depth, then projected admission start), and
@@ -56,6 +55,7 @@
 #include "data/routing_trace.hpp"
 #include "engines/engine.hpp"
 #include "engines/session.hpp"
+#include "eval/node_loop.hpp"
 #include "eval/overload.hpp"
 #include "obs/span_tracer.hpp"
 #include "obs/timeseries.hpp"
@@ -306,14 +306,17 @@ class ClusterRouter {
     double ready = 0.0;  ///< dispatch time + node link latency
     bool hedge = false;
   };
-  /// One request copy in flight on a node.
-  struct ActiveCopy {
+  /// The router's bookkeeping for one request copy in flight on a node.
+  struct CopyTag {
     std::size_t track = 0;
-    double start = 0.0;
+    double start = 0.0;  ///< admission time of this copy
     bool hedge = false;
-    std::unique_ptr<engines::SequenceSession> session;
   };
+  using Loop = eval::NodeLoop<CopyTag>;
   struct Node {
+    Node(int node_id, int max_concurrent,
+         const eval::DegradationOptions& degrade)
+        : id(node_id), loop(max_concurrent, degrade) {}
     int id = -1;
     std::unique_ptr<engines::Engine> engine;
     std::unique_ptr<sim::FaultModel> fault;
@@ -321,15 +324,12 @@ class ClusterRouter {
     std::unique_ptr<cache::PlacementArbiter> arbiter;
     std::unique_ptr<cache::ExpertCache> cache;  ///< null: policy frozen
     std::unique_ptr<recovery::CheckpointStore> ckpt;  ///< null: disabled
-    std::unique_ptr<eval::DegradationController> degrade;
     bool alive = true;
     double crash_time = std::numeric_limits<double>::infinity();
     double link_latency = 0.0;
     std::deque<QueuedCopy> pending;
-    std::vector<ActiveCopy> active;
-    std::vector<double> free_slots;
-    long long closed_aborts = 0;
-    long long closed_retries = 0;
+    /// In-flight sessions, free slots and the degradation ladder.
+    Loop loop;
   };
   /// Per-request routing state: how many live copies exist and what the
   /// failover path has consumed so far.
@@ -364,7 +364,6 @@ class ClusterRouter {
                 const data::SequenceTrace& trace, double t);
   int least_loaded_of(const std::vector<int>& eligible, double t,
                       int exclude) const;
-  eval::DegradationController::Signals node_signals(const Node& n) const;
   void dispatch_copy(std::size_t track, int node_id, double t, bool hedge);
   void lost_copy(std::size_t track, int tokens_done, double t,
                  FailoverReason reason);

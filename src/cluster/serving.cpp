@@ -1,13 +1,10 @@
 #include "cluster/serving.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
-#include "cache/calibration.hpp"
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "data/trace_generator.hpp"
 #include "engines/run_metrics.hpp"
 #include "model/op_costs.hpp"
@@ -40,15 +37,10 @@ ClusterServingResult run_cluster_serving_eval(
   const sim::CostModel cm(platform);
   const model::OpCosts costs(model_cfg, cm);
 
-  // Identical calibration to run_serving_eval: homogeneous replicas start
-  // from the very placement the single-node server would use.
-  const data::TraceGenerator calib_gen(
-      data::sharegpt_calibration(), model_cfg.n_layers, model_cfg.n_experts,
-      model_cfg.top_k, options.base.seed ^ 0xCA11Bu);
-  const auto calib_counts = cache::calibrate_activation_counts(
-      calib_gen, options.base.calibration_seqs);
-  const cache::Placement calibrated = cache::init_placement_calibrated(
-      model_cfg.n_layers, model_cfg.n_experts, options.base.ecr, calib_counts);
+  // Homogeneous replicas start from the very placement the single-node
+  // server would use.
+  const cache::Placement calibrated =
+      eval::serving_initial_placement(model_cfg, options.base);
 
   std::vector<ClusterRouter::NodeSeat> seats;
   seats.reserve(static_cast<std::size_t>(options.n_nodes));
@@ -79,29 +71,18 @@ ClusterServingResult run_cluster_serving_eval(
   if (options.base.profiler != nullptr) router_opts.record_intervals = true;
   ClusterRouter router(std::move(seats), router_opts);
 
-  // EXACT single-node request plan: same RNG seed and draw order (gap,
-  // prompt, gen per request), so cluster and single-node runs on one seed
-  // serve identical traffic.
+  // The single-node request plan, so cluster and single-node runs on one
+  // seed serve identical traffic.
   const data::TraceGenerator gen(workload, model_cfg.n_layers,
                                  model_cfg.n_experts, model_cfg.top_k,
                                  options.base.seed);
-  Rng rng(options.base.seed ^ 0x5e7511e5ULL);
-  double arrival = 0.0;
-  for (int i = 0; i < options.base.n_requests; ++i) {
-    arrival += -std::log(std::max(rng.uniform(), 1e-12)) /
-               options.base.arrival_rate_rps;
-    const int prompt =
-        rng.uniform_int(options.base.min_prompt, options.base.max_prompt);
-    const int gen_len =
-        rng.uniform_int(options.base.min_gen, options.base.max_gen);
+  for (const eval::PlannedRequest& pr :
+       eval::serving_request_plan(options.base)) {
     ClusterRouter::Request req;
-    req.id = i;
-    req.arrival = arrival;
-    if (options.base.priority_every > 0 &&
-        (i + 1) % options.base.priority_every == 0) {
-      req.deadline_s = options.base.priority_deadline_s;
-    }
-    req.trace = gen.generate(i, prompt, gen_len);
+    req.id = pr.id;
+    req.arrival = pr.arrival;
+    req.deadline_s = pr.deadline_s;
+    req.trace = gen.generate(static_cast<int>(pr.id), pr.prompt, pr.gen);
     router.enqueue(std::move(req));
   }
 
@@ -112,17 +93,8 @@ ClusterServingResult run_cluster_serving_eval(
 
   ClusterServingResult out;
   out.requests = options.base.n_requests;
-
-  std::vector<double> ttft;
-  std::vector<double> latency;
-  std::vector<double> wait;
-  std::vector<double> tpot;
-  obs::HistogramData ttft_hist(obs::default_latency_buckets());
-  obs::HistogramData tpot_hist(obs::default_latency_buckets());
-  obs::HistogramData latency_hist(obs::default_latency_buckets());
-  obs::HistogramData wait_hist(obs::default_latency_buckets());
-  double makespan = 0.0;
-  long long tokens = 0;
+  eval::ServedRequests served(options.base.slo_ttft_s,
+                              options.base.slo_latency_s);
 
   for (const ClusterRouter::Outcome& o : outcomes) {
     eval::ServingResult::RequestLogEntry log;
@@ -152,33 +124,7 @@ ClusterServingResult run_cluster_serving_eval(
       }
     } else {
       log.outcome = "served";
-      ++out.served;
-      tokens += o.result.generated_tokens;
-      makespan = std::max(makespan, o.end);
-      // Same client-observed formulas as eval/serving.cpp's record_served:
-      // everything counts from the ORIGINAL arrival, so failover backoffs
-      // and re-run prefills show up in TTFT/latency.
-      const double w = o.start - o.arrival;
-      const double first_tok = w + o.result.prefill_s;
-      const double lat = o.end - o.arrival;
-      const double per_tok = o.result.generated_tokens > 0
-                                 ? o.result.decode_s / o.result.generated_tokens
-                                 : 0.0;
-      wait.push_back(w);
-      ttft.push_back(first_tok);
-      latency.push_back(lat);
-      tpot.push_back(per_tok);
-      ttft_hist.observe(first_tok);
-      tpot_hist.observe(per_tok);
-      latency_hist.observe(lat);
-      wait_hist.observe(w);
-      if ((options.base.slo_ttft_s > 0.0 &&
-           first_tok > options.base.slo_ttft_s) ||
-          (options.base.slo_latency_s > 0.0 &&
-           lat > options.base.slo_latency_s)) {
-        ++out.slo_violations;
-      }
-      out.counters.add(o.result.counters);
+      served.add(out, o.arrival, o.start, o.end, o.result);
     }
     out.request_log.push_back(std::move(log));
   }
@@ -218,7 +164,9 @@ ClusterServingResult run_cluster_serving_eval(
   // Seal the final time-series window at the run makespan (the recorder the
   // router recorded into — router_opts.tseries — which defaulted from the
   // base sink above).
-  if (router_opts.tseries != nullptr) router_opts.tseries->finalize(makespan);
+  if (router_opts.tseries != nullptr) {
+    router_opts.tseries->finalize(served.makespan());
+  }
   if (options.base.profiler != nullptr) {
     // One whole-window profile per node timeline, mirroring the
     // continuous-batching harness's shared-timeline record (per-request
@@ -227,24 +175,10 @@ ClusterServingResult run_cluster_serving_eval(
       const sim::Timeline& tl = router.node_timeline(i);
       options.base.profiler->record_window(
           out.engine + " [node " + std::to_string(i) + "]", tl.intervals(),
-          tl.hazard_intervals(), 0.0, std::max(makespan, tl.span()));
+          tl.hazard_intervals(), 0.0, std::max(served.makespan(), tl.span()));
     }
   }
-  if (!latency.empty()) {
-    out.ttft_s = summarize(ttft);
-    out.latency_s = summarize(latency);
-    out.queue_wait_s = summarize(wait);
-    out.tpot_s = summarize(tpot);
-  }
-  out.ttft_hist = ttft_hist;
-  out.tpot_hist = tpot_hist;
-  out.latency_hist = latency_hist;
-  out.makespan_s = makespan;
-  out.slo_violation_rate =
-      static_cast<double>(out.slo_violations) / options.base.n_requests;
-  if (makespan > 0.0) {
-    out.throughput_tps = static_cast<double>(tokens) / makespan;
-  }
+  served.finish(out);
 
   if (options.base.metrics != nullptr) {
     obs::MetricsRegistry& reg = *options.base.metrics;
@@ -259,20 +193,20 @@ ClusterServingResult run_cluster_serving_eval(
         .inc(static_cast<double>(out.slo_violations));
     reg.counter("daop_serving_generated_tokens_total",
                 "Tokens generated across served requests.", labels)
-        .inc(static_cast<double>(tokens));
+        .inc(static_cast<double>(served.tokens()));
     reg.histogram("daop_serving_ttft_seconds",
                   "Arrival to first output token.", buckets, labels)
-        .merge(ttft_hist);
+        .merge(out.ttft_hist);
     reg.histogram("daop_serving_tpot_seconds",
                   "Mean time per output token per request.", buckets, labels)
-        .merge(tpot_hist);
+        .merge(out.tpot_hist);
     reg.histogram("daop_serving_latency_seconds",
                   "Arrival to request completion.", buckets, labels)
-        .merge(latency_hist);
+        .merge(out.latency_hist);
     reg.histogram("daop_serving_queue_wait_seconds",
                   "Arrival to admission on the serving node.", buckets,
                   labels)
-        .merge(wait_hist);
+        .merge(served.wait_hist());
     reg.gauge("daop_serving_throughput_tokens_per_second",
               "Generated tokens per second of makespan.", labels)
         .set(out.throughput_tps);
@@ -414,35 +348,10 @@ ClusterServingResult run_cluster_serving_eval(
     }
 
     // Dynamic-cache families only exist when a dynamic policy is on, so
-    // frozen-policy cluster metrics stay bit-identical to PR 6.
+    // frozen-policy cluster metrics stay bit-identical.
     if (options.cluster.cache.enabled()) {
-      const char* policy =
-          cache::cache_policy_name(options.cluster.cache.policy);
-      const auto cache_counter = [&](const char* kind, long long n) {
-        reg.counter("daop_cache_migrations_total",
-                    "Dynamic expert-cache placement changes, by kind.",
-                    obs::Labels{{"engine", out.engine},
-                                {"kind", kind},
-                                {"policy", policy}})
-            .inc(static_cast<double>(n));
-      };
-      cache_counter("fill", out.cache_fills);
-      cache_counter("evict", out.cache_evictions);
-      const obs::Labels clabels{{"engine", out.engine}, {"policy", policy}};
-      reg.counter("daop_cache_pin_refusals_total",
-                  "Cache evictions refused because the victim was pinned by "
-                  "another session.",
-                  clabels)
-          .inc(static_cast<double>(out.cache_refusals));
-      reg.counter("daop_cache_migration_aborts_total",
-                  "Cache swap migrations abandoned by the retry/deadline "
-                  "discipline.",
-                  clabels)
-          .inc(static_cast<double>(out.cache_aborts));
-      reg.counter("daop_cache_bytes_moved_total",
-                  "Expert weight bytes moved over PCIe by cache fills.",
-                  clabels)
-          .inc(out.cache_bytes_moved);
+      eval::record_cache_metrics(
+          reg, out, cache::cache_policy_name(options.cluster.cache.policy));
     }
   }
   return out;

@@ -53,29 +53,17 @@ struct ClusterServingOptions {
   void validate() const;
 };
 
-struct ClusterServingResult {
-  std::string engine;
-  int requests = 0;
-  int served = 0;
-  int shed = 0;  ///< conservation: served + shed == requests (DAOP_CHECKed)
-  Summary ttft_s;        ///< arrival -> first output token (served only)
-  Summary latency_s;     ///< arrival -> request complete (served only)
-  Summary queue_wait_s;  ///< arrival -> admission on the serving node
-  Summary tpot_s;
-  obs::HistogramData ttft_hist;
-  obs::HistogramData tpot_hist;
-  obs::HistogramData latency_hist;
-  double throughput_tps = 0.0;  ///< generated tokens / makespan
-  double makespan_s = 0.0;
-  int slo_violations = 0;  ///< SLO-breaching served requests + all shed
-  double slo_violation_rate = 0.0;
-  long long shed_node_lost = 0;
-  long long shed_deadline = 0;
-  long long shed_degraded = 0;
-  /// Engine counters summed over served requests; hazard_stall_s is the
-  /// total across every node timeline (accounted once, like the
-  /// continuous-batching harness).
-  engines::EngineCounters counters;
+/// The single-node result, measured with the same formulas, plus the
+/// cluster telemetry. Conservation is served + shed == requests
+/// (DAOP_CHECKed): the router never drops, and the single-node-only fields
+/// (dropped, retries, queue_full sheds, preemptions, degradation steps,
+/// busy fraction) stay zero. Differences in meaning:
+///  - `queue_wait_s` runs from arrival to admission on the serving node;
+///  - `counters.hazard_stall_s` totals every node timeline, accounted once;
+///  - cache telemetry is summed across the per-node caches;
+///  - `request_log` entries carry the failover re-dispatch count in
+///    `retries`, plus the loss-episode `restores` and `recovery` path.
+struct ClusterServingResult : eval::ServingResult {
   /// Router-level telemetry: failovers, replayed tokens, hedges, crashes,
   /// ejections, per-node dispatch/serve counts and final states.
   ClusterStats cluster;
@@ -83,16 +71,6 @@ struct ClusterServingResult {
   /// except the loss-episode conservation counts, which are always kept).
   RecoveryStats recovery;
   std::vector<HealthEvent> health_events;
-  // ---- Dynamic-cache telemetry summed across node caches (all zero under
-  // policy `frozen`; see ClusterOptions::cache) ----
-  long long cache_fills = 0;
-  long long cache_evictions = 0;
-  long long cache_refusals = 0;
-  long long cache_aborts = 0;
-  double cache_bytes_moved = 0.0;
-  /// Per-request outcome log in id order ("served" or "shed:<reason>";
-  /// `retries` carries the failover re-dispatch count).
-  std::vector<eval::ServingResult::RequestLogEntry> request_log;
 };
 
 /// Simulates `options.base.n_requests` requests through an N-node cluster.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -11,7 +12,7 @@
 namespace daop::eval {
 namespace {
 
-/// Null-gated time-series shim shared by both scheduler loops. Every method
+/// Null-gated time-series shim for the scheduler loop. Every method
 /// is a no-op when no recorder is attached, so the hot path costs one
 /// pointer test per decision and the recorder stays strictly passive.
 class TsHook {
@@ -111,11 +112,11 @@ ContinuousBatchingScheduler::ContinuousBatchingScheduler(
       tl_(timeline),
       arbiter_(initial),
       options_(options),
-      free_slots_(static_cast<std::size_t>(options.max_concurrent), 0.0) {
-  DAOP_CHECK_GE(options_.max_concurrent, 1);
+      loop_(options.max_concurrent, options.overload.degrade) {
   DAOP_CHECK_GE(options_.request_timeout_s, 0.0);
   DAOP_CHECK_GE(options_.max_request_retries, 0);
   DAOP_CHECK_GE(options_.retry_backoff_s, 0.0);
+  options_.overload.validate();
   options_.cache.validate();
   if (options_.cache.enabled()) {
     cache_ = std::make_unique<cache::ExpertCache>(
@@ -134,171 +135,41 @@ void ContinuousBatchingScheduler::enqueue(Request request) {
   pending_.push_back(std::move(p));
 }
 
-std::vector<ContinuousBatchingScheduler::Outcome>
-ContinuousBatchingScheduler::run() {
-  options_.overload.validate();
-  return options_.overload.enabled() ? run_overload() : run_legacy();
-}
-
-std::vector<ContinuousBatchingScheduler::Outcome>
-ContinuousBatchingScheduler::run_legacy() {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t total = pending_.size() + outcomes_.size();
-  TsHook ts(options_.tseries, options_.tseries_channel);
-
-  while (!pending_.empty() || !active_.empty()) {
-    // Candidate admission: the FIFO head starts at the later of its
-    // (re-)arrival and the earliest free slot.
-    double t_admit = kInf;
-    std::size_t slot = 0;
-    if (!pending_.empty() && !free_slots_.empty()) {
-      slot = static_cast<std::size_t>(
-          std::min_element(free_slots_.begin(), free_slots_.end()) -
-          free_slots_.begin());
-      t_admit = std::max(pending_.front().eff_arrival, free_slots_[slot]);
-    }
-    // Candidate decode step: the least-advanced in-flight session. Ties go
-    // to the earliest-admitted (lowest request id) — active_ is kept in
-    // admission order, so the first strict minimum wins.
-    std::size_t si = active_.size();
-    double t_step = kInf;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const double r = active_[i].session->ready_time();
-      if (r < t_step) {
-        t_step = r;
-        si = i;
-      }
-    }
-
-    if (ts.on()) {
-      const double t_dec = std::min(t_admit, t_step);
-      long long waiting = 0;
-      for (const Pending& p : pending_) {
-        if (p.eff_arrival <= t_dec) ++waiting;
-      }
-      ts.decision(t_dec, tl_.hazard_stall_s(), waiting, active_.size(), 0);
-    }
-
-    if (t_admit <= t_step) {
-      Pending& head = pending_.front();
-      if (options_.request_timeout_s > 0.0 &&
-          t_admit - head.eff_arrival > options_.request_timeout_s) {
-        if (head.attempts < options_.max_request_retries) {
-          ++head.attempts;
-          head.eff_arrival +=
-              options_.request_timeout_s + options_.retry_backoff_s;
-          continue;
-        }
-        Outcome o;
-        o.id = head.request.id;
-        o.arrival = head.request.arrival;
-        o.retries = head.attempts;
-        outcomes_.push_back(std::move(o));
-        pending_.pop_front();
-        ts.dropped();
-        continue;
-      }
-      engines::SessionEnv env;
-      env.timeline = &tl_;
-      env.start_time = t_admit;
-      env.request_id = head.request.id;
-      env.arbiter = &arbiter_;
-      env.cache = cache_.get();
-      env.shared = true;
-      Active a;
-      a.id = head.request.id;
-      a.arrival = head.request.arrival;
-      a.start = t_admit;
-      a.retries = head.attempts;
-      a.session =
-          engine_.open_session(head.request.trace, arbiter_.placement(), env);
-      a.session->prefill();
-      ts.admitted(a.start - a.arrival, a.session->ready_time() - a.arrival);
-      free_slots_.erase(free_slots_.begin() +
-                        static_cast<std::ptrdiff_t>(slot));
-      active_.push_back(std::move(a));
-      pending_.pop_front();
-      continue;
-    }
-
-    Active& a = active_[si];
-    if (a.session->decode_step()) continue;
-    // All tokens scheduled: close the session, free its slot at the
-    // completion time, and record the outcome.
-    engines::RunResult r = a.session->close();
-    Outcome o;
-    o.id = a.id;
-    o.arrival = a.arrival;
-    o.served = true;
-    o.start = a.start;
-    o.end = a.start + r.total_s;
-    o.retries = a.retries;
-    ts.served(o.end - o.arrival,
-              r.generated_tokens > 0
-                  ? r.decode_s / static_cast<double>(r.generated_tokens)
-                  : -1.0,
-              r.generated_tokens);
-    o.result = std::move(r);
-    free_slots_.push_back(o.end);
-    outcomes_.push_back(std::move(o));
-    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(si));
-  }
-
-  DAOP_CHECK_EQ(outcomes_.size(), total);
-  std::sort(outcomes_.begin(), outcomes_.end(),
-            [](const Outcome& x, const Outcome& y) { return x.id < y.id; });
-  return std::move(outcomes_);
-}
-
-// Overload-aware loop. Same event structure as run_legacy() — each
-// iteration performs the earliest of {resume, admit, step} — plus the
-// overload plane's decisions layered on top:
-//  - the admission candidate is chosen by the configured policy instead of
-//    always being the FIFO head;
+// Each iteration performs the earliest of {resume, admit, step}; on time
+// ties resume wins over admit, and admit over step. The overload plane's
+// decisions layer on top:
+//  - the admission candidate is chosen by the configured policy (the FIFO
+//    head by default);
 //  - a bounded queue sheds overflow, and a deadline budget sheds requests
 //    whose projected first token would land past their deadline;
 //  - under deadline-edf with preemption, a deadline-critical arrival may
 //    park the latest-deadline in-flight session (at most once per session)
 //    and take its slot; parked sessions resume, in park order, as slots
 //    free;
-//  - a DegradationController observes fault-plane telemetry at every
-//    decision time; its directives apply from the next decision on.
-// Determinism: every choice is a pure function of (enqueue order, per-seed
-// engine behaviour), with the same tie-breaks as the legacy loop.
+//  - the node's DegradationController observes fault-plane telemetry at
+//    every decision time; its directives apply from the next decision on.
+// With default options none of these fires and the loop is the plain
+// admit-or-step-least-advanced scheduler. Determinism: every choice is a
+// pure function of (enqueue order, per-seed engine behaviour).
 std::vector<ContinuousBatchingScheduler::Outcome>
-ContinuousBatchingScheduler::run_overload() {
+ContinuousBatchingScheduler::run() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  constexpr std::size_t kNone = Loop::kNone;
   const OverloadOptions& ov = options_.overload;
   const std::size_t total = pending_.size() + outcomes_.size();
-  DegradationController degrade(ov.degrade);
   obs::SpanTracer* const tracer = options_.tracer;
+  // The "Overload" track exists only while the plane is on, so default
+  // option traces stay byte-identical to the pre-overload goldens.
   const std::uint32_t ov_track =
-      tracer != nullptr ? tracer->track("Overload") : 0;
+      tracer != nullptr && ov.enabled() ? tracer->track("Overload") : 0;
   TsHook ts(options_.tseries, options_.tseries_channel);
   std::size_t degrade_events_seen = 0;
+  const DegradationController& degrade = loop_.degrade();
 
-  // Counter totals of already-closed sessions, so the controller's signals
-  // stay cumulative across session lifetimes.
-  long long closed_aborts = 0;
-  long long closed_retries = 0;
-  const auto live_signals = [&] {
-    DegradationController::Signals s;
-    s.hazard_stall_s = tl_.hazard_stall_s();
-    s.migration_aborts = closed_aborts;
-    s.migration_retries = closed_retries;
-    for (const Active& a : active_) {
-      s.migration_aborts += a.session->counters().migration_aborts;
-      s.migration_retries += a.session->counters().migration_retries;
-    }
-    for (const Active& a : parked_) {
-      s.migration_aborts += a.session->counters().migration_aborts;
-      s.migration_retries += a.session->counters().migration_retries;
-    }
-    return s;
-  };
-
+  // Deadlines belong to the overload plane: with it off, a per-request
+  // budget neither sheds nor orders anything.
   const auto budget_of = [&](const Pending& p) {
+    if (!ov.enabled()) return 0.0;
     return p.request.deadline_s > 0.0 ? p.request.deadline_s : ov.deadline_s;
   };
   // Absolute first-token deadline, anchored on the ORIGINAL arrival so
@@ -367,48 +238,38 @@ ContinuousBatchingScheduler::run_overload() {
   // candidate's, never preempted before (once per session, so preemption
   // cannot livelock). Ties -> latest admitted.
   const auto pick_victim = [&](double cand_deadline) {
+    const std::vector<Loop::Active>& active = loop_.active();
     std::size_t best = kNone;
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const Active& a = active_[i];
-      if (a.preemptions > 0 || a.session->decode_done()) continue;
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      const Admitted& a = active[i].tag;
+      if (a.preemptions > 0 || active[i].session->decode_done()) continue;
       if (a.deadline <= cand_deadline) continue;
-      if (best == kNone || a.deadline >= active_[best].deadline) best = i;
+      if (best == kNone || a.deadline >= active[best].tag.deadline) best = i;
     }
     return best;
   };
 
-  while (!pending_.empty() || !active_.empty() || !parked_.empty()) {
-    const int mc_eff = degrade.cap_concurrency()
-                           ? std::max(1, options_.max_concurrent / 2)
-                           : options_.max_concurrent;
-    const bool slot_ok =
-        !free_slots_.empty() && static_cast<int>(active_.size()) < mc_eff;
+  while (!pending_.empty() || !loop_.idle()) {
+    const bool slot_ok = loop_.slot_ok();
+    std::size_t slot = loop_.earliest_free_slot();
 
     // Candidate resume: the longest-parked session, once a slot frees.
     double t_resume = kInf;
-    std::size_t slot_r = 0;
-    if (!parked_.empty() && slot_ok) {
-      slot_r = static_cast<std::size_t>(
-          std::min_element(free_slots_.begin(), free_slots_.end()) -
-          free_slots_.begin());
-      t_resume = std::max(free_slots_[slot_r],
-                          parked_.front().session->ready_time());
+    if (!loop_.parked().empty() && slot_ok) {
+      t_resume = std::max(loop_.slot_time(slot),
+                          loop_.parked().front().session->ready_time());
     }
 
     // Candidate admission: policy-chosen request into the earliest free
     // slot — or, when every slot is busy, a preemptive admission for a
     // deadline-critical request.
     double t_admit = kInf;
-    std::size_t slot_a = 0;
     std::size_t cand = kNone;
     std::size_t victim = kNone;
     if (!pending_.empty()) {
       if (slot_ok) {
-        slot_a = static_cast<std::size_t>(
-            std::min_element(free_slots_.begin(), free_slots_.end()) -
-            free_slots_.begin());
-        cand = pick_candidate(free_slots_[slot_a]);
-        t_admit = std::max(pending_[cand].eff_arrival, free_slots_[slot_a]);
+        cand = pick_candidate(loop_.slot_time(slot));
+        t_admit = std::max(pending_[cand].eff_arrival, loop_.slot_time(slot));
       } else if (ov.preempt &&
                  ov.admission == AdmissionPolicy::kDeadlineEdf) {
         const std::size_t c = pick_candidate(kInf);
@@ -416,23 +277,17 @@ ContinuousBatchingScheduler::run_overload() {
         if (v != kNone) {
           cand = c;
           victim = v;
-          t_admit =
-              std::max(pending_[cand].eff_arrival, active_[victim].start);
+          t_admit = std::max(pending_[cand].eff_arrival,
+                             loop_.active()[victim].tag.start);
         }
       }
     }
 
     // Candidate decode step: the least-advanced running session (parked
-    // sessions do not step). Ties -> earliest admitted, as in run_legacy.
-    double t_step = kInf;
-    std::size_t si = active_.size();
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const double r = active_[i].session->ready_time();
-      if (r < t_step) {
-        t_step = r;
-        si = i;
-      }
-    }
+    // sessions do not step).
+    const std::size_t si = loop_.pick_step();
+    const double t_step =
+        si == kNone ? kInf : loop_.active()[si].session->ready_time();
 
     const double t_dec = std::min({t_resume, t_admit, t_step});
     DAOP_CHECK_LT(t_dec, kInf);
@@ -441,10 +296,10 @@ ContinuousBatchingScheduler::run_overload() {
       for (const Pending& p : pending_) {
         if (p.eff_arrival <= t_dec) ++waiting;
       }
-      ts.decision(t_dec, tl_.hazard_stall_s(), waiting, active_.size(),
-                  parked_.size());
+      ts.decision(t_dec, tl_.hazard_stall_s(), waiting, loop_.active().size(),
+                  loop_.parked().size());
     }
-    degrade.observe(t_dec, live_signals());
+    loop_.observe(t_dec, tl_.hazard_stall_s());
     if (ts.on()) {
       for (; degrade_events_seen < degrade.events().size();
            ++degrade_events_seen) {
@@ -459,7 +314,7 @@ ContinuousBatchingScheduler::run_overload() {
     // cap tightens to 2x the effective slots.
     long long cap = ov.queue_capacity;
     if (degrade.shed_aggressively()) {
-      const long long tight = 2LL * mc_eff;
+      const long long tight = 2LL * loop_.effective_concurrency();
       cap = cap > 0 ? std::min(cap, tight) : tight;
     }
     if (cap > 0) {
@@ -488,9 +343,7 @@ ContinuousBatchingScheduler::run_overload() {
     }
 
     if (t_resume <= t_admit && t_resume <= t_step) {
-      Active a = std::move(parked_.front());
-      parked_.pop_front();
-      a.session->resume(t_resume);
+      const Admitted& a = loop_.resume(slot, t_resume).tag;
       ++overload_stats_.preempt_resumes;
       ts.resumed();
       if (tracer != nullptr) {
@@ -498,15 +351,14 @@ ContinuousBatchingScheduler::run_overload() {
         tracer->instant(ov_track, "resume req " + std::to_string(a.id),
                         t_resume);
       }
-      free_slots_.erase(free_slots_.begin() +
-                        static_cast<std::ptrdiff_t>(slot_r));
-      active_.push_back(std::move(a));
       continue;
     }
 
     if (t_admit <= t_step && cand != kNone) {
       Pending& head = pending_[cand];
-      // Client-side timeout: identical semantics to the legacy loop.
+      // Client-side timeout: a request whose admission would start more
+      // than request_timeout_s after its (re-)arrival is abandoned and
+      // retries after a backoff, then is dropped.
       if (options_.request_timeout_s > 0.0 &&
           t_admit - head.eff_arrival > options_.request_timeout_s) {
         if (head.attempts < options_.max_request_retries) {
@@ -526,31 +378,17 @@ ContinuousBatchingScheduler::run_overload() {
       }
       // Deadline shedding: a request whose projected first token would land
       // past its deadline is shed instead of admitted — the slot goes to a
-      // request that can still be served in time. Aggressive degradation
-      // halves the budget; a request that only the halved budget rejects is
-      // labeled degraded, not deadline.
-      const double b = budget_of(head);
-      if (b > 0.0) {
-        const double dl_full = head.request.arrival + b;
-        const double dl_eff = degrade.shed_aggressively()
-                                  ? head.request.arrival + 0.5 * b
-                                  : dl_full;
-        const double projected = t_admit + ov.service_estimate_s;
-        if (projected > dl_eff) {
-          shed(cand,
-               projected > dl_full ? ShedReason::kDeadline
-                                   : ShedReason::kDegraded,
-               t_admit);
-          continue;
-        }
+      // request that can still be served in time.
+      if (const std::optional<ShedReason> verdict =
+              loop_.shed_verdict(head.request.arrival, budget_of(head),
+                                 t_admit, ov.service_estimate_s)) {
+        shed(cand, *verdict, t_admit);
+        continue;
       }
       if (victim != kNone) {
         // Preemptive admission: park the latest-deadline session, release
         // its pins (park() does), and hand its slot to the candidate.
-        Active v = std::move(active_[victim]);
-        active_.erase(active_.begin() +
-                      static_cast<std::ptrdiff_t>(victim));
-        v.session->park(t_admit);
+        Admitted& v = loop_.park(victim, t_admit).tag;
         ++v.preemptions;
         ++overload_stats_.preemptions;
         ts.preempted();
@@ -561,60 +399,46 @@ ContinuousBatchingScheduler::run_overload() {
                               std::to_string(head.request.id),
                           t_admit);
         }
-        free_slots_.push_back(t_admit);
-        parked_.push_back(std::move(v));
-        slot_a = static_cast<std::size_t>(
-            std::min_element(free_slots_.begin(), free_slots_.end()) -
-            free_slots_.begin());
+        slot = loop_.earliest_free_slot();
       }
-      engines::SessionEnv env;
-      env.timeline = &tl_;
-      env.start_time = t_admit;
-      env.request_id = head.request.id;
-      env.arbiter = &arbiter_;
-      env.cache = cache_.get();
-      env.shared = true;
-      env.degrade_no_speculation = degrade.no_speculation();
-      env.degrade_no_migrations = degrade.no_migrations();
-      Active a;
-      a.id = head.request.id;
-      a.arrival = head.request.arrival;
-      a.start = t_admit;
-      a.deadline = deadline_of(head);
-      a.retries = head.attempts;
-      a.session =
-          engine_.open_session(head.request.trace, arbiter_.placement(), env);
+      Loop::Active a;
+      a.tag.id = head.request.id;
+      a.tag.arrival = head.request.arrival;
+      a.tag.start = t_admit;
+      a.tag.deadline = deadline_of(head);
+      a.tag.retries = head.attempts;
+      a.session = engine_.open_session(
+          head.request.trace, arbiter_.placement(),
+          loop_.session_env(tl_, arbiter_, cache_.get(), t_admit,
+                            head.request.id));
       a.session->prefill();
-      ts.admitted(a.start - a.arrival, a.session->ready_time() - a.arrival);
-      free_slots_.erase(free_slots_.begin() +
-                        static_cast<std::ptrdiff_t>(slot_a));
-      active_.push_back(std::move(a));
+      ts.admitted(a.tag.start - a.tag.arrival,
+                  a.session->ready_time() - a.tag.arrival);
+      loop_.admit(slot, std::move(a));
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(cand));
       continue;
     }
 
-    Active& a = active_[si];
-    if (a.session->decode_step()) continue;
-    engines::RunResult r = a.session->close();
-    closed_aborts += r.counters.migration_aborts;
-    closed_retries += r.counters.migration_retries;
+    if (loop_.active()[si].session->decode_step()) continue;
+    // All tokens scheduled: close the session (its slot frees at the
+    // completion time) and record the outcome.
+    Loop::Closed c = loop_.close(si);
     Outcome o;
-    o.id = a.id;
-    o.arrival = a.arrival;
+    o.id = c.tag.id;
+    o.arrival = c.tag.arrival;
     o.served = true;
-    o.start = a.start;
-    o.end = a.start + r.total_s;
-    o.retries = a.retries;
-    o.preemptions = a.preemptions;
+    o.start = c.tag.start;
+    o.end = c.end;
+    o.retries = c.tag.retries;
+    o.preemptions = c.tag.preemptions;
     ts.served(o.end - o.arrival,
-              r.generated_tokens > 0
-                  ? r.decode_s / static_cast<double>(r.generated_tokens)
+              c.result.generated_tokens > 0
+                  ? c.result.decode_s /
+                        static_cast<double>(c.result.generated_tokens)
                   : -1.0,
-              r.generated_tokens);
-    o.result = std::move(r);
-    free_slots_.push_back(o.end);
+              c.result.generated_tokens);
+    o.result = std::move(c.result);
     outcomes_.push_back(std::move(o));
-    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(si));
   }
 
   // Degradation telemetry + ladder-step instants (emitted once, after the
@@ -637,7 +461,8 @@ ContinuousBatchingScheduler::run_overload() {
   // Conservation: every enqueued request ends as exactly one of
   // served/shed/dropped, every preempted session resumed and completed, and
   // no session leaked arbiter pins.
-  DAOP_CHECK_MSG(parked_.empty(), "parked sessions leaked without resume");
+  DAOP_CHECK_MSG(loop_.parked().empty(),
+                 "parked sessions leaked without resume");
   DAOP_CHECK_EQ(outcomes_.size(), total);
   std::size_t served = 0;
   std::size_t shed_n = 0;

@@ -12,7 +12,9 @@
 // cache::PlacementArbiter-owned expert placement — the cache is a device
 // resource, not a per-request one — with reference-counted pins so one
 // request's migration can never evict an expert a concurrent request is
-// computing with (see cache/arbiter.hpp).
+// computing with (see cache/arbiter.hpp). The node's in-flight state and
+// per-node decisions live in eval::NodeLoop, which the cluster router runs
+// once per node.
 //
 // Deterministic and single-threaded like the rest of the simulation:
 // "concurrent" sessions are interleaved by this scheduler, never by threads.
@@ -27,6 +29,7 @@
 #include "data/routing_trace.hpp"
 #include "engines/engine.hpp"
 #include "engines/session.hpp"
+#include "eval/node_loop.hpp"
 #include "eval/overload.hpp"
 #include "obs/timeseries.hpp"
 
@@ -46,11 +49,11 @@ class ContinuousBatchingScheduler {
     double request_timeout_s = 0.0;
     int max_request_retries = 0;
     double retry_backoff_s = 0.5;
-    /// Overload-control plane (eval/overload.hpp). Default-constructed it
-    /// is disabled and the scheduler runs its original loop, bit-identical
-    /// to the pre-overload code; any non-default option switches to the
-    /// overload-aware loop (admission policies, bounded queue, deadline
-    /// shedding, preemption, hazard-adaptive degradation).
+    /// Overload-control plane (eval/overload.hpp): admission policies,
+    /// bounded queue, deadline shedding, preemption and hazard-adaptive
+    /// degradation. Default-constructed every one of them is off — FIFO
+    /// admission, no cap, no deadline, no victim, a ladder that never
+    /// steps — and the run is bit-identical to the pre-overload scheduler.
     OverloadOptions overload;
     /// Dynamic expert-cache policy (cache/expert_cache.hpp). Policy
     /// `frozen` (the default) constructs no cache and leaves every session
@@ -130,23 +133,16 @@ class ContinuousBatchingScheduler {
     double eff_arrival = 0.0;  ///< arrival, pushed forward by retries
     int attempts = 0;
   };
-  struct Active {
+  /// Per-session bookkeeping the node loop carries for the scheduler.
+  struct Admitted {
     long long id = 0;
     double arrival = 0.0;
     double start = 0.0;
-    double deadline = 0.0;  ///< absolute first-token deadline (0 = none)
+    double deadline = 0.0;  ///< absolute first-token deadline (inf = none)
     long long retries = 0;
     long long preemptions = 0;
-    std::unique_ptr<engines::SequenceSession> session;
   };
-
-  /// The original loop, preserved verbatim: runs when the overload plane is
-  /// disabled so default-option serving stays bit-identical to the
-  /// pre-overload goldens.
-  std::vector<Outcome> run_legacy();
-  /// Overload-aware loop: admission policies, bounded queue, deadline
-  /// shedding, preemption/resume, degradation ladder.
-  std::vector<Outcome> run_overload();
+  using Loop = NodeLoop<Admitted>;
 
   engines::Engine& engine_;
   sim::Timeline& tl_;
@@ -156,14 +152,9 @@ class ContinuousBatchingScheduler {
   std::unique_ptr<cache::ExpertCache> cache_;
   Options options_;
   std::deque<Pending> pending_;
-  std::vector<Active> active_;
-  /// Preempted sessions waiting for a slot to resume in (overload loop
-  /// only), in park order.
-  std::deque<Active> parked_;
-  /// Times at which currently-unoccupied slots became free (size is always
-  /// max_concurrent - active_.size(); a parked session holds no slot — its
-  /// preemptor does).
-  std::vector<double> free_slots_;
+  /// In-flight, parked and free-slot state of the one node this scheduler
+  /// serves, with its degradation controller.
+  Loop loop_;
   std::vector<Outcome> outcomes_;
   OverloadStats overload_stats_;
 };

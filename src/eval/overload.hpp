@@ -32,8 +32,8 @@
 //    and steps back up one level at a time after a calm window.
 //
 // Everything here is deterministic and, with a default-constructed
-// OverloadOptions, a strict no-op: the scheduler runs its legacy loop and
-// serving output stays bit-identical to the pre-overload goldens
+// OverloadOptions, a strict no-op: no policy hook of the scheduler's loop
+// fires and serving output stays bit-identical to the pre-overload goldens
 // (tests/golden/serving_runs.golden).
 #pragma once
 
@@ -135,6 +135,8 @@ class DegradationController {
   /// Feeds one telemetry sample and applies at most one level change.
   void observe(double now, const Signals& totals);
 
+  /// False when the ladder is off: observe() then returns at once.
+  bool enabled() const { return options_.enabled; }
   int level() const { return level_; }
   int peak_level() const { return peak_level_; }
   long long steps_down() const { return steps_down_; }

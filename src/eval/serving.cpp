@@ -5,7 +5,6 @@
 
 #include <string>
 
-#include "cache/calibration.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "data/trace_generator.hpp"
@@ -14,6 +13,108 @@
 #include "model/op_costs.hpp"
 
 namespace daop::eval {
+
+std::vector<PlannedRequest> serving_request_plan(
+    const ServingOptions& options) {
+  Rng rng(options.seed ^ 0x5e7511e5ULL);
+  std::vector<PlannedRequest> plan;
+  plan.reserve(static_cast<std::size_t>(options.n_requests));
+  double arrival = 0.0;
+  for (int i = 0; i < options.n_requests; ++i) {
+    PlannedRequest pr;
+    pr.id = i;
+    // Poisson arrivals: exponential inter-arrival gaps.
+    arrival += -std::log(std::max(rng.uniform(), 1e-12)) /
+               options.arrival_rate_rps;
+    pr.arrival = arrival;
+    pr.prompt = rng.uniform_int(options.min_prompt, options.max_prompt);
+    pr.gen = rng.uniform_int(options.min_gen, options.max_gen);
+    if (options.priority_every > 0 && (i + 1) % options.priority_every == 0) {
+      pr.deadline_s = options.priority_deadline_s;
+    }
+    plan.push_back(pr);
+  }
+  return plan;
+}
+
+cache::Placement serving_initial_placement(const model::ModelConfig& model_cfg,
+                                           const ServingOptions& options) {
+  SpeedEvalOptions calib;
+  calib.seed = options.seed;
+  calib.calibration_seqs = options.calibration_seqs;
+  calib.ecr = options.ecr;
+  return calibrated_initial_placement(model_cfg, calib);
+}
+
+void ServedRequests::add(ServingResult& out, double arrival, double start,
+                         double end, const engines::RunResult& r) {
+  ++out.served;
+  tokens_ += r.generated_tokens;
+  makespan_ = std::max(makespan_, end);
+  const double w = start - arrival;
+  const double first_tok = w + r.prefill_s;
+  const double lat = end - arrival;
+  const double per_tok =
+      r.generated_tokens > 0 ? r.decode_s / r.generated_tokens : 0.0;
+  wait_.push_back(w);
+  ttft_.push_back(first_tok);
+  latency_.push_back(lat);
+  tpot_.push_back(per_tok);
+  ttft_hist_.observe(first_tok);
+  tpot_hist_.observe(per_tok);
+  latency_hist_.observe(lat);
+  wait_hist_.observe(w);
+  if ((slo_ttft_s_ > 0.0 && first_tok > slo_ttft_s_) ||
+      (slo_latency_s_ > 0.0 && lat > slo_latency_s_)) {
+    ++out.slo_violations;
+  }
+  out.counters.add(r.counters);
+}
+
+void ServedRequests::finish(ServingResult& out) const {
+  if (!latency_.empty()) {
+    out.ttft_s = summarize(ttft_);
+    out.latency_s = summarize(latency_);
+    out.queue_wait_s = summarize(wait_);
+    out.tpot_s = summarize(tpot_);
+  }
+  out.ttft_hist = ttft_hist_;
+  out.tpot_hist = tpot_hist_;
+  out.latency_hist = latency_hist_;
+  out.makespan_s = makespan_;
+  out.slo_violation_rate =
+      static_cast<double>(out.slo_violations) / out.requests;
+  if (makespan_ > 0.0) {
+    out.throughput_tps = static_cast<double>(tokens_) / makespan_;
+  }
+}
+
+void record_cache_metrics(obs::MetricsRegistry& reg, const ServingResult& out,
+                          const char* policy) {
+  const auto cache_counter = [&](const char* kind, long long n) {
+    reg.counter("daop_cache_migrations_total",
+                "Dynamic expert-cache placement changes, by kind.",
+                obs::Labels{
+                    {"engine", out.engine}, {"kind", kind}, {"policy", policy}})
+        .inc(static_cast<double>(n));
+  };
+  cache_counter("fill", out.cache_fills);
+  cache_counter("evict", out.cache_evictions);
+  const obs::Labels labels{{"engine", out.engine}, {"policy", policy}};
+  reg.counter("daop_cache_pin_refusals_total",
+              "Cache evictions refused because the victim was pinned by "
+              "another session.",
+              labels)
+      .inc(static_cast<double>(out.cache_refusals));
+  reg.counter("daop_cache_migration_aborts_total",
+              "Cache swap migrations abandoned by the retry/deadline "
+              "discipline.",
+              labels)
+      .inc(static_cast<double>(out.cache_aborts));
+  reg.counter("daop_cache_bytes_moved_total",
+              "Expert weight bytes moved over PCIe by cache fills.", labels)
+      .inc(out.cache_bytes_moved);
+}
 
 ServingResult run_serving_eval(EngineKind kind,
                                const model::ModelConfig& model_cfg,
@@ -49,13 +150,8 @@ ServingResult run_serving_eval(EngineKind kind,
   const sim::CostModel cm(platform);
   const model::OpCosts costs(model_cfg, cm);
 
-  const data::TraceGenerator calib_gen(
-      data::sharegpt_calibration(), model_cfg.n_layers, model_cfg.n_experts,
-      model_cfg.top_k, options.seed ^ 0xCA11Bu);
-  const auto calib_counts =
-      cache::calibrate_activation_counts(calib_gen, options.calibration_seqs);
-  const cache::Placement initial = cache::init_placement_calibrated(
-      model_cfg.n_layers, model_cfg.n_experts, options.ecr, calib_counts);
+  const cache::Placement initial =
+      serving_initial_placement(model_cfg, options);
 
   const data::TraceGenerator gen(workload, model_cfg.n_layers,
                                  model_cfg.n_experts, model_cfg.top_k,
@@ -70,53 +166,19 @@ ServingResult run_serving_eval(EngineKind kind,
   // (sessions on a shared timeline skip per-run recording by contract).
   if (options.profiler != nullptr) engine->set_profiler(options.profiler);
 
-  Rng rng(options.seed ^ 0x5e7511e5ULL);
-  double arrival = 0.0;
+  const std::vector<PlannedRequest> plan = serving_request_plan(options);
   double server_free = 0.0;
   double busy = 0.0;
-  long long tokens = 0;
-
-  std::vector<double> ttft;
-  std::vector<double> latency;
-  std::vector<double> wait;
-  std::vector<double> tpot;
-  obs::HistogramData ttft_hist(obs::default_latency_buckets());
-  obs::HistogramData tpot_hist(obs::default_latency_buckets());
-  obs::HistogramData latency_hist(obs::default_latency_buckets());
-  obs::HistogramData wait_hist(obs::default_latency_buckets());
-  double makespan = 0.0;
 
   ServingResult out;
+  ServedRequests served(options.slo_ttft_s, options.slo_latency_s);
 
-  // Shared per-served-request bookkeeping: both serving modes record the
-  // same client-observed metrics with the same formulas, so sequential and
-  // continuous-batching results are directly comparable.
+  // Both serving modes record served requests through one accumulator, so
+  // sequential and continuous-batching results are directly comparable.
   auto record_served = [&](long long id, double req_arrival, double start,
                            double end, const engines::RunResult& r) {
     busy += r.total_s;
-    tokens += r.generated_tokens;
-    makespan = std::max(makespan, end);
-    ++out.served;
-    // Client-observed metrics count from the ORIGINAL arrival, so retry
-    // waiting shows up in the latency distribution.
-    const double w = start - req_arrival;
-    const double first_tok = w + r.prefill_s;
-    const double lat = end - req_arrival;
-    const double per_tok =
-        r.generated_tokens > 0 ? r.decode_s / r.generated_tokens : 0.0;
-    wait.push_back(w);
-    ttft.push_back(first_tok);
-    latency.push_back(lat);
-    tpot.push_back(per_tok);
-    ttft_hist.observe(first_tok);
-    tpot_hist.observe(per_tok);
-    latency_hist.observe(lat);
-    wait_hist.observe(w);
-    if ((options.slo_ttft_s > 0.0 && first_tok > options.slo_ttft_s) ||
-        (options.slo_latency_s > 0.0 && lat > options.slo_latency_s)) {
-      ++out.slo_violations;
-    }
-    out.counters.add(r.counters);
+    served.add(out, req_arrival, start, end, r);
     if (options.tracer != nullptr) {
       obs::SpanTracer& tr = *options.tracer;
       const obs::RequestScope scope(&tr, id);
@@ -145,22 +207,12 @@ ServingResult run_serving_eval(EngineKind kind,
     // passive and never changes a scheduling decision.
     if (options.profiler != nullptr) tl.set_record_intervals(true);
     ContinuousBatchingScheduler sched(*engine, tl, initial, sched_opt);
-    // Identical RNG draw order to the sequential mode (gap, prompt, gen per
-    // request), so both modes serve the same request plan on one seed.
-    for (int i = 0; i < options.n_requests; ++i) {
-      arrival += -std::log(std::max(rng.uniform(), 1e-12)) /
-                 options.arrival_rate_rps;
-      const int prompt =
-          rng.uniform_int(options.min_prompt, options.max_prompt);
-      const int gen_len = rng.uniform_int(options.min_gen, options.max_gen);
+    for (const PlannedRequest& pr : plan) {
       ContinuousBatchingScheduler::Request req;
-      req.id = i;
-      req.arrival = arrival;
-      if (options.priority_every > 0 &&
-          (i + 1) % options.priority_every == 0) {
-        req.deadline_s = options.priority_deadline_s;
-      }
-      req.trace = gen.generate(i, prompt, gen_len);
+      req.id = pr.id;
+      req.arrival = pr.arrival;
+      req.deadline_s = pr.deadline_s;
+      req.trace = gen.generate(static_cast<int>(pr.id), pr.prompt, pr.gen);
       sched.enqueue(std::move(req));
     }
     for (const auto& o : sched.run()) {
@@ -228,18 +280,13 @@ ServingResult run_serving_eval(EngineKind kind,
     if (options.profiler != nullptr) {
       options.profiler->record_window(
           engine->name() + " [continuous batching]", tl.intervals(),
-          tl.hazard_intervals(), 0.0, std::max(makespan, tl.span()));
+          tl.hazard_intervals(), 0.0, std::max(served.makespan(), tl.span()));
     }
   } else {
     // ---- Sequential FCFS: each request runs alone on a private timeline ----
-    for (int i = 0; i < options.n_requests; ++i) {
-      // Poisson arrivals: exponential inter-arrival gaps.
-      arrival += -std::log(std::max(rng.uniform(), 1e-12)) /
-                 options.arrival_rate_rps;
-      const int prompt =
-          rng.uniform_int(options.min_prompt, options.max_prompt);
-      const int gen_len = rng.uniform_int(options.min_gen, options.max_gen);
-
+    for (const PlannedRequest& pr : plan) {
+      const int i = static_cast<int>(pr.id);
+      const double arrival = pr.arrival;
       // Client-side timeout loop: a request whose queue wait exceeds the
       // timeout is abandoned at (re-arrival + timeout) and retries after a
       // backoff, up to max_request_retries re-queues; then it is dropped
@@ -268,7 +315,7 @@ ServingResult run_serving_eval(EngineKind kind,
           dropped = true;
           break;
         }
-        const data::SequenceTrace trace = gen.generate(i, prompt, gen_len);
+        const data::SequenceTrace trace = gen.generate(i, pr.prompt, pr.gen);
         const engines::RunResult r = [&] {
           // Engine-local spans start at t=0; shift them onto the serving
           // clock and stamp them with this request's id. RAII scope so a
@@ -327,25 +374,13 @@ ServingResult run_serving_eval(EngineKind kind,
   }
 
   // Seal the final (possibly partial) time-series window at the makespan.
-  if (options.tseries != nullptr) options.tseries->finalize(makespan);
+  if (options.tseries != nullptr) options.tseries->finalize(served.makespan());
 
   out.engine = engine->name();
   out.requests = options.n_requests;
-  if (!latency.empty()) {
-    out.ttft_s = summarize(ttft);
-    out.latency_s = summarize(latency);
-    out.queue_wait_s = summarize(wait);
-    out.tpot_s = summarize(tpot);
-  }
-  out.ttft_hist = ttft_hist;
-  out.tpot_hist = tpot_hist;
-  out.latency_hist = latency_hist;
-  out.makespan_s = makespan;
-  out.slo_violation_rate =
-      static_cast<double>(out.slo_violations) / options.n_requests;
-  if (makespan > 0.0) {
-    out.throughput_tps = static_cast<double>(tokens) / makespan;
-    out.busy_fraction = std::min(1.0, busy / makespan);
+  served.finish(out);
+  if (out.makespan_s > 0.0) {
+    out.busy_fraction = std::min(1.0, busy / out.makespan_s);
   }
 
   if (options.metrics != nullptr) {
@@ -367,19 +402,19 @@ ServingResult run_serving_eval(EngineKind kind,
         .inc(static_cast<double>(out.slo_violations));
     reg.counter("daop_serving_generated_tokens_total",
                 "Tokens generated across served requests.", labels)
-        .inc(static_cast<double>(tokens));
+        .inc(static_cast<double>(served.tokens()));
     reg.histogram("daop_serving_ttft_seconds",
                   "Arrival to first output token.", buckets, labels)
-        .merge(ttft_hist);
+        .merge(out.ttft_hist);
     reg.histogram("daop_serving_tpot_seconds",
                   "Mean time per output token per request.", buckets, labels)
-        .merge(tpot_hist);
+        .merge(out.tpot_hist);
     reg.histogram("daop_serving_latency_seconds",
                   "Arrival to request completion.", buckets, labels)
-        .merge(latency_hist);
+        .merge(out.latency_hist);
     reg.histogram("daop_serving_queue_wait_seconds",
                   "Arrival to service start.", buckets, labels)
-        .merge(wait_hist);
+        .merge(served.wait_hist());
     reg.gauge("daop_serving_throughput_tokens_per_second",
               "Generated tokens per second of makespan.", labels)
         .set(out.throughput_tps);
@@ -431,32 +466,8 @@ ServingResult run_serving_eval(EngineKind kind,
     // frozen-policy metrics text stays bit-identical to the pre-cache
     // harness.
     if (options.cache.enabled()) {
-      const char* policy = cache::cache_policy_name(options.cache.policy);
-      const auto cache_counter = [&](const char* kind, double n) {
-        reg.counter("daop_cache_migrations_total",
-                    "Dynamic expert-cache placement changes, by kind.",
-                    obs::Labels{{"engine", out.engine},
-                                {"kind", kind},
-                                {"policy", policy}})
-            .inc(n);
-      };
-      cache_counter("fill", static_cast<double>(out.cache_fills));
-      cache_counter("evict", static_cast<double>(out.cache_evictions));
-      const obs::Labels clabels{{"engine", out.engine}, {"policy", policy}};
-      reg.counter("daop_cache_pin_refusals_total",
-                  "Cache evictions refused because the victim was pinned by "
-                  "another session.",
-                  clabels)
-          .inc(static_cast<double>(out.cache_refusals));
-      reg.counter("daop_cache_migration_aborts_total",
-                  "Cache swap migrations abandoned by the retry/deadline "
-                  "discipline.",
-                  clabels)
-          .inc(static_cast<double>(out.cache_aborts));
-      reg.counter("daop_cache_bytes_moved_total",
-                  "Expert weight bytes moved over PCIe by cache fills.",
-                  clabels)
-          .inc(out.cache_bytes_moved);
+      record_cache_metrics(reg, out,
+                           cache::cache_policy_name(options.cache.policy));
     }
   }
   return out;

@@ -182,6 +182,74 @@ struct ServingResult {
   std::vector<RequestLogEntry> request_log;
 };
 
+/// One request of the serving plan.
+struct PlannedRequest {
+  long long id = 0;
+  double arrival = 0.0;  ///< client arrival time (serving clock)
+  int prompt = 0;
+  int gen = 0;
+  /// Per-request first-token budget (the priority class); 0 = the
+  /// harness default.
+  double deadline_s = 0.0;
+};
+
+/// The request plan every serving harness replays: Poisson arrivals at
+/// `arrival_rate_rps`, then uniform prompt and generation lengths, drawn in
+/// that order per request from seed ^ 0x5e7511e5. Every
+/// `priority_every`-th request carries `priority_deadline_s`. Sequential,
+/// continuous-batching and cluster serving on one seed serve this same
+/// traffic.
+std::vector<PlannedRequest> serving_request_plan(
+    const ServingOptions& options);
+
+/// The §IV-A calibrated placement every serving node starts from:
+/// calibrated_initial_placement with the options' seed, calibration size
+/// and ECR.
+cache::Placement serving_initial_placement(const model::ModelConfig& model_cfg,
+                                           const ServingOptions& options);
+
+/// Client-observed accounting of served requests, one set of formulas for
+/// single-node and cluster serving. Queue wait, TTFT and latency count from
+/// the ORIGINAL arrival, so retry waits, failover backoffs and re-run
+/// prefills show up in the distributions.
+class ServedRequests {
+ public:
+  ServedRequests(double slo_ttft_s, double slo_latency_s)
+      : slo_ttft_s_(slo_ttft_s), slo_latency_s_(slo_latency_s) {}
+
+  /// Records one request served from `start` to `end` into the samples and
+  /// into `out`'s served count, SLO violations and engine counters.
+  void add(ServingResult& out, double arrival, double start, double end,
+           const engines::RunResult& r);
+  /// Writes the latency summaries and histograms, makespan, throughput and
+  /// SLO violation rate into `out`, whose `requests` and `slo_violations`
+  /// must be final.
+  void finish(ServingResult& out) const;
+
+  long long tokens() const { return tokens_; }
+  double makespan() const { return makespan_; }
+  const obs::HistogramData& wait_hist() const { return wait_hist_; }
+
+ private:
+  double slo_ttft_s_;
+  double slo_latency_s_;
+  std::vector<double> ttft_;
+  std::vector<double> latency_;
+  std::vector<double> wait_;
+  std::vector<double> tpot_;
+  obs::HistogramData ttft_hist_{obs::default_latency_buckets()};
+  obs::HistogramData tpot_hist_{obs::default_latency_buckets()};
+  obs::HistogramData latency_hist_{obs::default_latency_buckets()};
+  obs::HistogramData wait_hist_{obs::default_latency_buckets()};
+  double makespan_ = 0.0;
+  long long tokens_ = 0;
+};
+
+/// Exports the dynamic-cache families (daop_cache_*) of `out`, labeled
+/// with its engine and the cache `policy`.
+void record_cache_metrics(obs::MetricsRegistry& reg, const ServingResult& out,
+                          const char* policy);
+
 /// Simulates `options.n_requests` requests through a FCFS queue served by
 /// `kind`. Deterministic in the options' seed.
 ServingResult run_serving_eval(EngineKind kind,

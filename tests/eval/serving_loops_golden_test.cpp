@@ -51,7 +51,8 @@ std::string hash_str(const std::string& s) {
     h *= 1099511628211ULL;
   }
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
   return buf;
 }
 
