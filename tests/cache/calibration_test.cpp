@@ -89,11 +89,7 @@ struct CalibrationCase {
   int gen_len;
 };
 
-class CalibrationEquivalence
-    : public ::testing::TestWithParam<CalibrationCase> {};
-
-TEST_P(CalibrationEquivalence, EqualsCountingGeneratedTraces) {
-  const CalibrationCase& c = GetParam();
+void expect_calibration_equals_counting(const CalibrationCase& c) {
   data::WorkloadSpec spec = data::sharegpt_calibration();
   spec.prompt_len = c.prompt_len;
   spec.gen_len = c.gen_len;
@@ -102,18 +98,31 @@ TEST_P(CalibrationEquivalence, EqualsCountingGeneratedTraces) {
   EXPECT_EQ(calibrate_activation_counts(gen, 3), counts_from_traces(gen, 3));
 }
 
+class CalibrationEquivalence
+    : public ::testing::TestWithParam<CalibrationCase> {};
+
+TEST_P(CalibrationEquivalence, EqualsCountingGeneratedTraces) {
+  expect_calibration_equals_counting(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CalibrationEquivalence,
     ::testing::Values(
         CalibrationCase{"Mixtral", 32, 8, 2, 64, 48},
         CalibrationCase{"Phi35", 32, 16, 2, 64, 48},
-        // Odd E and k = 3: prefill and prediction discards end mid-pair.
-        CalibrationCase{"E7K3", 5, 7, 3, 3, 9},
         CalibrationCase{"NoDecode", 4, 8, 2, 5, 0},
         CalibrationCase{"OneTokenPrompt", 4, 8, 2, 1, 7}),
     [](const ::testing::TestParamInfo<CalibrationCase>& info) {
       return std::string(info.param.name);
     });
+
+// Odd E and k = 3: prefill and prediction discards end mid-pair. A plain
+// test rather than a table row: gtest lists a table row with a byte dump of
+// its CalibrationCase, whose name pointer moves with address-space
+// randomisation, so the row's listed name differed from run to run.
+TEST(Calibration, EqualsCountingGeneratedTracesE7K3) {
+  expect_calibration_equals_counting(CalibrationCase{"E7K3", 5, 7, 3, 3, 9});
+}
 
 TEST(Calibration, RejectsZeroSequences) {
   EXPECT_THROW(calibrate_activation_counts(make_gen(), 0), daop::CheckError);
