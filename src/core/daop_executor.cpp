@@ -1,6 +1,7 @@
 #include "core/daop_executor.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/check.hpp"
 #include "core/allocation.hpp"
@@ -26,19 +27,350 @@ int best_gpu_expert(const cache::Placement& placement, int layer,
   return best;
 }
 
-/// Pre-calculation plan carried from layer l to layer l+1.
-struct Plan {
-  bool active = false;
-  /// Pre-calculated outputs (stale input) per expert; empty vector = none.
-  std::vector<std::vector<float>> precalc;
-  std::vector<int> substitute;
+/// Pre-calculation plans of a span's rows, carried from layer l to l+1.
+struct SpanPlan {
+  bool active = false;          ///< layer l+1 is predicted (same every row)
+  std::vector<int> precalc;     ///< [row][expert]: slot in `outputs`, or -1
+  std::vector<int> substitute;  ///< [row][expert]: GPU substitute, or -1
+  std::vector<float> outputs;   ///< pre-calculated outputs, d_model per slot
 
-  explicit Plan(int n_experts)
-      : precalc(static_cast<std::size_t>(n_experts)),
-        substitute(static_cast<std::size_t>(n_experts), -1) {}
+  void reset(int n, int n_experts) {
+    active = false;
+    precalc.assign(static_cast<std::size_t>(n) * n_experts, -1);
+    substitute.assign(precalc.size(), -1);
+  }
 };
 
+/// Expert runs of one layer over a span, split by how they execute.
+struct Jobs {
+  std::vector<model::ExpertJob> exact;      ///< fp weights, grouped by expert
+  std::vector<model::ExpertJob> quantized;  ///< cpu_quant_bits copies
+  int slots = 0;
+
+  void clear() {
+    exact.clear();
+    quantized.clear();
+    slots = 0;
+  }
+  /// Adds expert `e` on `row`, quantized when it runs on the CPU under
+  /// the quantization extension; returns its output slot.
+  int add(int e, int row, bool quantize) {
+    (quantize ? quantized : exact).push_back({e, row, slots});
+    return slots++;
+  }
+};
+
+/// One DAOP decode continuing a prefill. It owns the sequence's cache,
+/// placement, re-allocation window and run counters, and runs spans of
+/// consumed tokens layer by layer: per row it keeps the plan, the exec
+/// decisions and the order of the residual updates of a step-by-step
+/// decode, and it runs each expert once over the rows that need it. A copy
+/// continues the same sequence independently.
+class SpanDecoder {
+ public:
+  /// Applies Algorithm 1 to `initial` from the prefill's routing counts.
+  SpanDecoder(const model::FunctionalModel& model, const DaopConfig& config,
+              const model::QuantizedExpertSet* quantized,
+              const model::GateBias& bias, model::PrefillState prefill,
+              const cache::Placement& initial)
+      : model_(model),
+        cfg_(model.config()),
+        config_(config),
+        quantized_(quantized),
+        bias_(bias),
+        kv_(std::move(prefill.kv)),
+        placement_(initial),
+        window_(static_cast<std::size_t>(cfg_.n_layers),
+                std::vector<double>(static_cast<std::size_t>(cfg_.n_experts),
+                                    0.0)) {
+    DAOP_CHECK_EQ(initial.n_layers(), cfg_.n_layers);
+    DAOP_CHECK_EQ(initial.n_experts(), cfg_.n_experts);
+    if (config_.enable_seq_allocation) {
+      for (int l = 0; l < cfg_.n_layers; ++l) {
+        const auto swaps = sequence_specific_swaps(
+            prefill.counts[static_cast<std::size_t>(l)], placement_, l,
+            config_.swap_in_out);
+        apply_swaps(placement_, l, swaps);
+        stats.prefill_swaps += static_cast<long long>(swaps.size());
+      }
+    }
+  }
+
+  /// Runs decode steps [g, end), appending their tokens to `out`. Step g
+  /// consumes out[g] (free-running, one step at a time) or, when `teacher`
+  /// is non-empty, teacher[g] (teacher-forced, in spans cut where decode
+  /// re-allocation moves the placement).
+  void decode(std::vector<int>& out, int g, int end,
+              std::span<const int> teacher) {
+    const int interval = config_.decode_realloc_interval;
+    while (g < end) {
+      int stop = teacher.empty() ? g + 1 : end;
+      if (interval > 0) stop = std::min(stop, (g / interval + 1) * interval);
+      if (teacher.empty()) {
+        const int token = out[static_cast<std::size_t>(g)];
+        step(std::span<const int>(&token, 1), out);
+      } else {
+        step(teacher.subspan(static_cast<std::size_t>(g),
+                             static_cast<std::size_t>(stop - g)),
+             out);
+      }
+      // Decode re-allocation (extension): let the cache follow drift.
+      if (interval > 0 && stop % interval == 0) reallocate();
+      g = stop;
+    }
+  }
+
+  FunctionalRunStats stats;
+
+ private:
+  /// Decodes the positions that consume `tokens`, appending each row's
+  /// argmax next token to `out`.
+  void step(std::span<const int> tokens, std::vector<int>& out);
+
+  /// Algorithm 1 over the trailing window, which then restarts.
+  void reallocate() {
+    for (int l = 0; l < cfg_.n_layers; ++l) {
+      auto& w = window_[static_cast<std::size_t>(l)];
+      const auto swaps =
+          sequence_specific_swaps(w, placement_, l, config_.swap_in_out);
+      apply_swaps(placement_, l, swaps);
+      stats.decode_swaps += static_cast<long long>(swaps.size());
+      std::fill(w.begin(), w.end(), 0.0);
+    }
+  }
+
+  /// Runs `jobs` of `layer` on the span's hidden states into `out`.
+  void run(int layer, const Jobs& jobs, std::vector<float>& out) {
+    const auto D = static_cast<std::size_t>(cfg_.d_model);
+    out.resize(static_cast<std::size_t>(jobs.slots) * D);
+    model_.run_experts(layer, h_, jobs.exact, out);
+    for (const model::ExpertJob& j : jobs.quantized) {
+      quantized_->forward(layer, j.expert,
+                          std::span<const float>(h_).subspan(j.row * D, D),
+                          std::span<float>(out).subspan(j.slot * D, D));
+      ++stats.quantized_execs;
+    }
+  }
+
+  /// Decides row `t`'s executed experts at `layer` from its gate logits and
+  /// the plan made at the previous layer; queues the runs.
+  void decide(int layer, int t, std::span<const float> logits);
+  /// Plans row `t`'s pre-calculation for layer `nl` from `pred_logits`.
+  void plan(int nl, int t, std::span<const float> pred_logits);
+
+  /// What one selected expert slot of a row executes.
+  struct Exec {
+    int expert = 0;  ///< id used for gate weighting
+    int slot = -1;   ///< output slot in exec_out_, or -1 when pre-calculated
+    int precalc = -1;  ///< slot in cur_.outputs when pre-calculated
+  };
+
+  const model::FunctionalModel& model_;
+  const model::ModelConfig& cfg_;
+  const DaopConfig& config_;
+  const model::QuantizedExpertSet* quantized_;
+  const model::GateBias& bias_;
+  model::KvCache kv_;
+  cache::Placement placement_;
+  /// Decode re-allocation extension: trailing-window activation counts.
+  std::vector<std::vector<double>> window_;
+
+  // Span buffers, reused across steps.
+  std::vector<float> x_, h_, gate_logits_, pred_logits_, vocab_logits_;
+  std::vector<float> exec_out_, weights_;
+  std::vector<Exec> execs_;      ///< [row][top_k]
+  std::vector<int> n_execs_;     ///< per row
+  Jobs jobs_, pre_jobs_;
+  SpanPlan cur_, next_;
+};
+
+void SpanDecoder::decide(int layer, int t, std::span<const float> logits) {
+  const int K = cfg_.top_k;
+  model::RouteDecision sel = model_.route(logits);
+  // Adaptive expert skipping (extension): confident tokens keep only their
+  // top-1 expert.
+  if (config_.skip_top1_margin > 0.0 && sel.experts.size() >= 2 &&
+      sel.weights[0] >= config_.skip_top1_margin) {
+    stats.skipped_experts += static_cast<long long>(sel.experts.size()) - 1;
+    sel.experts.resize(1);
+    sel.weights.assign(1, 1.0F);
+  }
+
+  Exec* execs = execs_.data() + static_cast<std::size_t>(t) * K;
+  int n = 0;
+  // Runs expert e on this row's exact input; on the CPU it is quantized
+  // under the cpu_quant_bits extension.
+  const auto run = [&](int e, bool on_cpu) {
+    execs[n++] = {e, jobs_.add(e, t, on_cpu && quantized_ != nullptr), -1};
+  };
+  const auto row = static_cast<std::size_t>(t) * cfg_.n_experts;
+  std::vector<int> used = sel.experts;
+  for (int e : sel.experts) {
+    window_[static_cast<std::size_t>(layer)][static_cast<std::size_t>(e)] +=
+        1.0;
+    ++stats.decode_expert_uses;
+    const auto ei = row + static_cast<std::size_t>(e);
+    if (placement_.on_gpu(layer, e) || !cur_.active) {
+      // GPU-resident, or an early/in-place layer: true expert, true input.
+      // In-place CPU execution is exact in fp, quantized only under the
+      // cpu_quant_bits extension.
+      ++stats.exact_execs;
+      run(e, !placement_.on_gpu(layer, e));
+    } else if (cur_.precalc[ei] >= 0) {
+      ++stats.stale_input_execs;
+      execs[n++] = {e, -1, cur_.precalc[ei]};
+    } else if (cur_.substitute[ei] >= 0) {
+      ++stats.degradations;
+      used.push_back(cur_.substitute[ei]);
+      run(cur_.substitute[ei], false);
+    } else {
+      // Misprediction on a CPU-resident expert.
+      int fb = -1;
+      if (config_.mispredict_policy == MispredictPolicy::GracefulFallback) {
+        fb = best_gpu_expert(placement_, layer, logits, used);
+      }
+      if (fb >= 0) {
+        ++stats.mispredict_fallbacks;
+        used.push_back(fb);
+        run(fb, false);
+      } else {
+        ++stats.mispredict_recomputes;
+        run(e, true);
+      }
+    }
+  }
+  n_execs_[static_cast<std::size_t>(t)] = n;
+
+  // Renormalize gate weights over the experts actually executed.
+  int ids[kMaxTopK];
+  for (int i = 0; i < n; ++i) ids[i] = execs[i].expert;
+  softmax_subset(logits, std::span<const int>(ids, static_cast<std::size_t>(n)),
+                 std::span<float>(weights_).subspan(
+                     static_cast<std::size_t>(t) * K, static_cast<std::size_t>(n)));
+}
+
+void SpanDecoder::plan(int nl, int t, std::span<const float> pred_logits) {
+  model::RouteDecision pred = model_.route(pred_logits);
+  // Under adaptive skipping, confident predictions only need their top-1
+  // expert pre-calculated.
+  if (config_.skip_top1_margin > 0.0 && pred.experts.size() >= 2 &&
+      pred.weights[0] >= config_.skip_top1_margin) {
+    pred.experts.resize(1);
+  }
+
+  std::vector<int> pred_cpu;
+  for (int e : pred.experts) {
+    if (!placement_.on_gpu(nl, e)) pred_cpu.push_back(e);
+  }
+  const auto row = static_cast<std::size_t>(t) * cfg_.n_experts;
+  if (config_.enable_degradation &&
+      static_cast<int>(pred_cpu.size()) == cfg_.top_k && cfg_.top_k >= 2) {
+    const int drop = pred_cpu.back();
+    const int sub =
+        best_gpu_expert(placement_, nl, pred_logits, pred.experts);
+    if (sub >= 0) {
+      next_.substitute[row + static_cast<std::size_t>(drop)] = sub;
+      pred_cpu.pop_back();
+    }
+  }
+  // Stale input: this layer's non-MoE hidden state stands in for the next
+  // layer's (residual-stream approximation, §IV-C); pre-calculations run
+  // on the CPU.
+  for (int e : pred_cpu) {
+    next_.precalc[row + static_cast<std::size_t>(e)] =
+        pre_jobs_.add(e, t, quantized_ != nullptr);
+  }
+}
+
+void SpanDecoder::step(std::span<const int> tokens, std::vector<int>& out) {
+  const int n = static_cast<int>(tokens.size());
+  const int pos = kv_.size();
+  const int L = cfg_.n_layers;
+  const int E = cfg_.n_experts;
+  const auto D = static_cast<std::size_t>(cfg_.d_model);
+  const auto K = static_cast<std::size_t>(cfg_.top_k);
+  const auto rows = static_cast<std::size_t>(n);
+
+  x_.resize(rows * D);
+  h_.resize(rows * D);
+  gate_logits_.resize(rows * static_cast<std::size_t>(E));
+  pred_logits_.resize(gate_logits_.size());
+  execs_.resize(rows * K);
+  weights_.resize(rows * K);
+  n_execs_.resize(rows);
+  for (int t = 0; t < n; ++t) {
+    model_.embed(tokens[static_cast<std::size_t>(t)],
+                 std::span<float>(x_).subspan(t * D, D));
+  }
+
+  cur_.reset(n, E);
+  for (int l = 0; l < L; ++l) {
+    model_.attention_block(l, x_, kv_, pos);
+    model_.ffn_input(l, x_, h_);
+    model_.gate(l, h_, gate_logits_);
+    jobs_.clear();
+    for (int t = 0; t < n; ++t) {
+      const auto logits = std::span<float>(gate_logits_).subspan(t * E, E);
+      if (bias_) bias_(l, pos + t, logits);
+      decide(l, t, logits);
+    }
+    run(l, jobs_, exec_out_);
+    for (int t = 0; t < n; ++t) {
+      const auto xt = std::span<float>(x_).subspan(t * D, D);
+      for (int i = 0; i < n_execs_[static_cast<std::size_t>(t)]; ++i) {
+        const std::size_t k = t * K + static_cast<std::size_t>(i);
+        const Exec& ex = execs_[k];
+        const std::vector<float>& src =
+            ex.slot >= 0 ? exec_out_ : cur_.outputs;
+        const int slot = ex.slot >= 0 ? ex.slot : ex.precalc;
+        axpy_inplace(xt, weights_[k],
+                     std::span<const float>(src).subspan(slot * D, D));
+      }
+    }
+
+    // Plan pre-calculation for layer l+1 from this layer's hidden states.
+    next_.reset(n, E);
+    pre_jobs_.clear();
+    const int nl = l + 1;
+    if (config_.enable_precalc && nl < L && nl >= config_.min_predict_layer) {
+      next_.active = true;
+      model_.gate(nl, h_, pred_logits_);
+      for (int t = 0; t < n; ++t) {
+        const auto logits = std::span<float>(pred_logits_).subspan(t * E, E);
+        if (bias_) bias_(nl, pos + t, logits);
+        plan(nl, t, logits);
+      }
+      run(nl, pre_jobs_, next_.outputs);
+    }
+    std::swap(cur_, next_);
+  }
+  kv_.advance(n);
+
+  vocab_logits_.resize(rows * static_cast<std::size_t>(cfg_.vocab_size));
+  model_.lm_logits(x_, vocab_logits_);
+  for (int t = 0; t < n; ++t) {
+    out.push_back(argmax(std::span<const float>(vocab_logits_)
+                             .subspan(t * static_cast<std::size_t>(cfg_.vocab_size),
+                                      static_cast<std::size_t>(cfg_.vocab_size))));
+  }
+}
+
 }  // namespace
+
+FunctionalRunStats& FunctionalRunStats::operator+=(
+    const FunctionalRunStats& o) {
+  decode_expert_uses += o.decode_expert_uses;
+  exact_execs += o.exact_execs;
+  stale_input_execs += o.stale_input_execs;
+  degradations += o.degradations;
+  mispredict_fallbacks += o.mispredict_fallbacks;
+  mispredict_recomputes += o.mispredict_recomputes;
+  prefill_swaps += o.prefill_swaps;
+  decode_swaps += o.decode_swaps;
+  quantized_execs += o.quantized_execs;
+  skipped_experts += o.skipped_experts;
+  return *this;
+}
 
 DaopFunctionalExecutor::DaopFunctionalExecutor(
     const model::FunctionalModel& model, DaopConfig config)
@@ -50,231 +382,65 @@ DaopFunctionalExecutor::DaopFunctionalExecutor(
   }
 }
 
-void DaopFunctionalExecutor::run_expert(int layer, int expert, bool on_cpu,
-                                        std::span<const float> h,
-                                        std::span<float> out,
-                                        FunctionalRunStats& stats) const {
-  if (on_cpu && quantized_) {
-    quantized_->forward(layer, expert, h, out);
-    ++stats.quantized_execs;
-  } else {
-    model_.expert_forward(layer, expert, h, out);
+std::vector<int> DaopFunctionalExecutor::generate(
+    model::PrefillState prefill, int n_gen, const cache::Placement& initial,
+    const model::GateBias& bias, FunctionalRunStats* stats,
+    std::span<const int> teacher) const {
+  DAOP_CHECK_GE(n_gen, 0);
+  DAOP_CHECK(teacher.empty() ||
+             static_cast<int>(teacher.size()) >= n_gen);
+  const int first_token = prefill.first_token;
+  SpanDecoder decoder(model_, config_, quantized_.get(), bias,
+                      std::move(prefill), initial);
+  std::vector<int> out;
+  if (n_gen > 0) {
+    out.reserve(static_cast<std::size_t>(n_gen));
+    out.push_back(first_token);  // prefill-exact
+    // Step g predicts out[g + 1]; the last token needs no step of its own.
+    decoder.decode(out, 0, n_gen - 1, teacher);
   }
+  if (stats) *stats += decoder.stats;
+  return out;
+}
+
+DecodePair DaopFunctionalExecutor::generate_pair(
+    model::PrefillState prefill, int n_gen, const cache::Placement& initial,
+    const model::GateBias& bias, std::span<const int> teacher,
+    FunctionalRunStats* free_stats, FunctionalRunStats* forced_stats) const {
+  DAOP_CHECK_GE(n_gen, 0);
+  DAOP_CHECK_GE(static_cast<int>(teacher.size()), n_gen);
+  const int first_token = prefill.first_token;
+  SpanDecoder decoder(model_, config_, quantized_.get(), bias,
+                      std::move(prefill), initial);
+  DecodePair pair;
+  std::optional<SpanDecoder> forced;
+  if (n_gen > 0) {
+    pair.free_run.reserve(static_cast<std::size_t>(n_gen));
+    pair.free_run.push_back(first_token);
+    for (int g = 0; g < n_gen - 1; ++g) {
+      if (!forced && pair.free_run[static_cast<std::size_t>(g)] !=
+                         teacher[static_cast<std::size_t>(g)]) {
+        // The first step whose consumed tokens differ: the teacher-forced
+        // decode continues from here on its own copy.
+        forced.emplace(decoder);
+        pair.forced.assign(pair.free_run.begin(), pair.free_run.end());
+        forced->decode(pair.forced, g, n_gen - 1, teacher);
+      }
+      decoder.decode(pair.free_run, g, g + 1, {});
+    }
+  }
+  if (!forced) pair.forced = pair.free_run;
+  if (free_stats) *free_stats += decoder.stats;
+  if (forced_stats) *forced_stats += forced ? forced->stats : decoder.stats;
+  return pair;
 }
 
 std::vector<int> DaopFunctionalExecutor::generate(
     std::span<const int> prompt, int n_gen, const cache::Placement& initial,
     const model::GateBias& bias, FunctionalRunStats* stats,
     std::span<const int> teacher) const {
-  DAOP_CHECK(!prompt.empty());
-  DAOP_CHECK_GE(n_gen, 0);
-  DAOP_CHECK(teacher.empty() ||
-             static_cast<int>(teacher.size()) >= n_gen);
-  const model::ModelConfig& cfg = model_.config();
-  DAOP_CHECK_EQ(initial.n_layers(), cfg.n_layers);
-  DAOP_CHECK_EQ(initial.n_experts(), cfg.n_experts);
-  const int L = cfg.n_layers;
-  const int E = cfg.n_experts;
-  const auto D = static_cast<std::size_t>(cfg.d_model);
-
-  cache::Placement placement = initial;
-  FunctionalRunStats local_stats;
-  FunctionalRunStats& st = stats ? *stats : local_stats;
-
-  const int total = static_cast<int>(prompt.size()) + n_gen;
-  model::KvCache kv(cfg, total);
-
-  std::vector<float> x(D);
-  std::vector<float> vocab_logits(static_cast<std::size_t>(cfg.vocab_size));
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(n_gen));
-
-  // ---- Prefill: exact numerics; collect per-layer expert token counts ----
-  std::vector<std::vector<double>> counts(
-      static_cast<std::size_t>(L),
-      std::vector<double>(static_cast<std::size_t>(E), 0.0));
-  int next_token = -1;
-  for (int pos = 0; pos < static_cast<int>(prompt.size()); ++pos) {
-    model_.embed(prompt[static_cast<std::size_t>(pos)], x);
-    for (int l = 0; l < L; ++l) {
-      const model::RouteDecision d = model_.official_block(l, x, kv, pos, bias);
-      for (int e : d.experts) {
-        counts[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] += 1.0;
-      }
-    }
-    kv.advance();
-  }
-  model_.lm_logits(x, vocab_logits);
-  next_token = argmax(vocab_logits);  // first output token (prefill-exact)
-
-  // Algorithm 1: adjust placement for the decode phase.
-  if (config_.enable_seq_allocation) {
-    for (int l = 0; l < L; ++l) {
-      const auto swaps = sequence_specific_swaps(
-          counts[static_cast<std::size_t>(l)], placement, l,
-          config_.swap_in_out);
-      apply_swaps(placement, l, swaps);
-      st.prefill_swaps += static_cast<long long>(swaps.size());
-    }
-  }
-
-  // ---- Decode under DAOP approximations ----
-  std::vector<float> h(D);
-  std::vector<float> expert_out(D);
-  std::vector<float> gate_logits(static_cast<std::size_t>(E));
-  std::vector<float> pred_logits(static_cast<std::size_t>(E));
-
-  // Decode re-allocation extension: trailing-window activation counts.
-  std::vector<std::vector<double>> window(
-      static_cast<std::size_t>(L),
-      std::vector<double>(static_cast<std::size_t>(E), 0.0));
-
-  for (int g = 0; g < n_gen; ++g) {
-    if (static_cast<int>(out.size()) < n_gen) out.push_back(next_token);
-    if (static_cast<int>(out.size()) == n_gen && g == n_gen - 1) {
-      // Last token recorded; still run the step only if its output is
-      // needed — it is not, so stop here.
-      break;
-    }
-    const int pos = static_cast<int>(prompt.size()) + g;
-    const int consumed =
-        teacher.empty() ? next_token : teacher[static_cast<std::size_t>(g)];
-    model_.embed(consumed, x);
-
-    Plan plan(E);
-    for (int l = 0; l < L; ++l) {
-      model_.attention_block(l, x, kv, pos);
-      model_.ffn_input(l, x, h);
-      model_.gate(l, h, gate_logits);
-      if (bias) bias(l, pos, gate_logits);
-      model::RouteDecision sel = model_.route(gate_logits);
-      // Adaptive expert skipping (extension): confident tokens keep only
-      // their top-1 expert.
-      if (config_.skip_top1_margin > 0.0 && sel.experts.size() >= 2 &&
-          sel.weights[0] >= config_.skip_top1_margin) {
-        st.skipped_experts += static_cast<long long>(sel.experts.size()) - 1;
-        sel.experts.resize(1);
-        sel.weights.assign(1, 1.0F);
-      }
-
-      // Decide the executed expert set.
-      struct Exec {
-        int expert;                      ///< id used for gate weighting
-        const std::vector<float>* precomputed = nullptr;
-        bool on_cpu = false;             ///< executes on the CPU (may be
-                                         ///< quantized under the extension)
-      };
-      std::vector<Exec> execs;
-      std::vector<int> used = sel.experts;
-      for (int e : sel.experts) {
-        window[static_cast<std::size_t>(l)][static_cast<std::size_t>(e)] += 1.0;
-        ++st.decode_expert_uses;
-        const auto ei = static_cast<std::size_t>(e);
-        if (placement.on_gpu(l, e) || !plan.active) {
-          // GPU-resident, or an early/in-place layer: true expert, true
-          // input. In-place CPU execution is exact in fp, quantized only
-          // under the cpu_quant_bits extension.
-          ++st.exact_execs;
-          execs.push_back({e, nullptr, !placement.on_gpu(l, e)});
-        } else if (!plan.precalc[ei].empty()) {
-          ++st.stale_input_execs;
-          execs.push_back({e, &plan.precalc[ei], true});
-        } else if (plan.substitute[ei] >= 0) {
-          ++st.degradations;
-          used.push_back(plan.substitute[ei]);
-          execs.push_back({plan.substitute[ei], nullptr, false});
-        } else {
-          // Misprediction on a CPU-resident expert.
-          int fb = -1;
-          if (config_.mispredict_policy == MispredictPolicy::GracefulFallback) {
-            fb = best_gpu_expert(placement, l, gate_logits, used);
-          }
-          if (fb >= 0) {
-            ++st.mispredict_fallbacks;
-            used.push_back(fb);
-            execs.push_back({fb, nullptr, false});
-          } else {
-            ++st.mispredict_recomputes;
-            execs.push_back({e, nullptr, true});
-          }
-        }
-      }
-
-      // Renormalize gate weights over the experts actually executed.
-      std::vector<int> exec_ids;
-      exec_ids.reserve(execs.size());
-      for (const Exec& ex : execs) exec_ids.push_back(ex.expert);
-      std::vector<float> weights(execs.size());
-      softmax_subset(gate_logits, exec_ids, weights);
-
-      for (std::size_t i = 0; i < execs.size(); ++i) {
-        if (execs[i].precomputed) {
-          axpy_inplace(x, weights[i], *execs[i].precomputed);
-        } else {
-          run_expert(l, execs[i].expert, execs[i].on_cpu, h, expert_out, st);
-          axpy_inplace(x, weights[i], expert_out);
-        }
-      }
-
-      // Plan pre-calculation for layer l+1 from this layer's hidden state.
-      plan = Plan(E);
-      const int nl = l + 1;
-      if (config_.enable_precalc && nl < L &&
-          nl >= config_.min_predict_layer) {
-        plan.active = true;
-        model_.gate(nl, h, pred_logits);
-        if (bias) bias(nl, pos, pred_logits);
-        model::RouteDecision pred = model_.route(pred_logits);
-        // Under adaptive skipping, confident predictions only need their
-        // top-1 expert pre-calculated.
-        if (config_.skip_top1_margin > 0.0 && pred.experts.size() >= 2 &&
-            pred.weights[0] >= config_.skip_top1_margin) {
-          pred.experts.resize(1);
-        }
-
-        std::vector<int> pred_cpu;
-        for (int e : pred.experts) {
-          if (!placement.on_gpu(nl, e)) pred_cpu.push_back(e);
-        }
-        if (config_.enable_degradation &&
-            static_cast<int>(pred_cpu.size()) == cfg.top_k && cfg.top_k >= 2) {
-          const int drop = pred_cpu.back();
-          const int sub =
-              best_gpu_expert(placement, nl, pred_logits, pred.experts);
-          if (sub >= 0) {
-            plan.substitute[static_cast<std::size_t>(drop)] = sub;
-            pred_cpu.pop_back();
-          }
-        }
-        for (int e : pred_cpu) {
-          auto& dst = plan.precalc[static_cast<std::size_t>(e)];
-          dst.assign(D, 0.0F);
-          // Stale input: this layer's non-MoE hidden state stands in for
-          // the next layer's (residual-stream approximation, §IV-C).
-          run_expert(nl, e, /*on_cpu=*/true, h, dst, st);
-        }
-      }
-    }
-    kv.advance();
-    model_.lm_logits(x, vocab_logits);
-    next_token = argmax(vocab_logits);
-
-    // Decode re-allocation (extension): let the cache follow drift.
-    if (config_.decode_realloc_interval > 0 &&
-        (g + 1) % config_.decode_realloc_interval == 0) {
-      for (int l = 0; l < L; ++l) {
-        const auto swaps = sequence_specific_swaps(
-            window[static_cast<std::size_t>(l)], placement, l,
-            config_.swap_in_out);
-        apply_swaps(placement, l, swaps);
-        st.decode_swaps += static_cast<long long>(swaps.size());
-        std::fill(window[static_cast<std::size_t>(l)].begin(),
-                  window[static_cast<std::size_t>(l)].end(), 0.0);
-      }
-    }
-  }
-  if (static_cast<int>(out.size()) < n_gen) out.push_back(next_token);
-  return out;
+  return generate(model::OfficialDecoder(model_).prefill(prompt, n_gen, bias),
+                  n_gen, initial, bias, stats, teacher);
 }
 
 }  // namespace daop::core

@@ -37,6 +37,14 @@ struct FunctionalRunStats {
                                         ///< (cpu_quant_bits extension)
   long long skipped_experts = 0;        ///< experts skipped by the adaptive
                                         ///< top-1 margin (extension)
+
+  FunctionalRunStats& operator+=(const FunctionalRunStats& o);
+};
+
+/// One prefill decoded free-running and teacher-forced.
+struct DecodePair {
+  std::vector<int> free_run;
+  std::vector<int> forced;
 };
 
 class DaopFunctionalExecutor {
@@ -44,16 +52,41 @@ class DaopFunctionalExecutor {
   DaopFunctionalExecutor(const model::FunctionalModel& model,
                          DaopConfig config = {});
 
-  /// Prefill + greedy decode under DAOP approximations. `initial` is the
-  /// §IV-A calibrated placement (copied; Algorithm 1 adjusts the copy).
-  /// `bias` is the dataset conditioner (must match the official run's).
+  /// Greedy decode under DAOP approximations, continuing the exact
+  /// `prefill` of the prompt (taken by value: pass a copy to continue one
+  /// prefill several times). `initial` is the §IV-A calibrated placement
+  /// (copied; Algorithm 1 adjusts the copy from the prefill's routing
+  /// counts). `bias` is the dataset conditioner (must match the prefill's
+  /// and the official run's).
   ///
   /// When `teacher` is non-empty (length >= n_gen) the decoder is
   /// teacher-forced: it consumes `teacher[g]` at step g instead of its own
   /// prediction, while still RETURNING its own per-step argmax predictions.
   /// Comparing the result against the official generation then measures
   /// per-step approximation error without compounding divergence — the
-  /// primary accuracy proxy for Table VI.
+  /// primary accuracy proxy for Table VI. Its tokens are known up front, so
+  /// it runs layer by layer over spans of steps (cut where decode
+  /// re-allocation moves the placement); the numerics equal a step-by-step
+  /// run bit for bit.
+  std::vector<int> generate(model::PrefillState prefill, int n_gen,
+                            const cache::Placement& initial,
+                            const model::GateBias& bias = nullptr,
+                            FunctionalRunStats* stats = nullptr,
+                            std::span<const int> teacher = {}) const;
+
+  /// The free-running decode and the teacher-forced decode on `teacher`
+  /// of one prefill, equal to the two generate() calls field for field.
+  /// While the free-running tokens equal the teacher's, both decodes
+  /// consume the same tokens from the same state, so they share those
+  /// steps; the teacher-forced decode forks at the first difference.
+  DecodePair generate_pair(model::PrefillState prefill, int n_gen,
+                           const cache::Placement& initial,
+                           const model::GateBias& bias,
+                           std::span<const int> teacher,
+                           FunctionalRunStats* free_stats = nullptr,
+                           FunctionalRunStats* forced_stats = nullptr) const;
+
+  /// Prefill `prompt` exactly, then decode as above.
   std::vector<int> generate(std::span<const int> prompt, int n_gen,
                             const cache::Placement& initial,
                             const model::GateBias& bias = nullptr,
@@ -61,12 +94,6 @@ class DaopFunctionalExecutor {
                             std::span<const int> teacher = {}) const;
 
  private:
-  /// Runs expert (layer, e) on input h, quantized when the expert executes
-  /// on the CPU and cpu_quant_bits is enabled.
-  void run_expert(int layer, int expert, bool on_cpu,
-                  std::span<const float> h, std::span<float> out,
-                  FunctionalRunStats& stats) const;
-
   const model::FunctionalModel& model_;
   DaopConfig config_;
   std::unique_ptr<model::QuantizedExpertSet> quantized_;  ///< null when off

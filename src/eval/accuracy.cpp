@@ -110,20 +110,23 @@ std::vector<AccuracyMetrics> evaluate_daop_accuracy(
         spec, cfg.n_layers, cfg.n_experts, options.seed, s, options.prompt_len,
         options.prompt_len + options.gen_len + 1);
 
-    const std::vector<int> ref = official.generate(prompt, options.gen_len, bias);
+    // Prefill is exact under DAOP (§IV-B): the reference and every DAOP
+    // decode of this episode continue one prefill.
+    const model::PrefillState prefill =
+        official.prefill(prompt, options.gen_len, bias);
+    const std::vector<int> ref =
+        official.generate(prefill, options.gen_len, bias);
     token_total += static_cast<double>(ref.size());
 
     for (std::size_t e = 0; e < ecrs.size(); ++e) {
       AccuracyMetrics& m = out[e];
-      // Free-running generation: the paper's ExactMatch / ROUGE setting.
-      core::FunctionalRunStats stats;
-      const std::vector<int> cand =
-          daop.generate(prompt, options.gen_len, initial[e], bias, &stats);
-
-      // Teacher-forced pass: per-step agreement without compounding
-      // divergence (primary Table VI proxy).
-      const std::vector<int> forced = daop.generate(
-          prompt, options.gen_len, initial[e], bias, nullptr, ref);
+      // Free-running generation (the paper's ExactMatch / ROUGE setting)
+      // and the teacher-forced pass on the reference: per-step agreement
+      // without compounding divergence (primary Table VI proxy).
+      const core::DecodePair run = daop.generate_pair(
+          prefill, options.gen_len, initial[e], bias, ref, &m.stats);
+      const std::vector<int>& cand = run.free_run;
+      const std::vector<int>& forced = run.forced;
 
       DAOP_CHECK_EQ(ref.size(), cand.size());
       DAOP_CHECK_EQ(ref.size(), forced.size());
@@ -133,17 +136,6 @@ std::vector<AccuracyMetrics> evaluate_daop_accuracy(
       }
       m.rouge1 += rouge_n(ref, cand, 1);
       m.rouge2 += rouge_n(ref, cand, 2);
-
-      m.stats.decode_expert_uses += stats.decode_expert_uses;
-      m.stats.exact_execs += stats.exact_execs;
-      m.stats.stale_input_execs += stats.stale_input_execs;
-      m.stats.degradations += stats.degradations;
-      m.stats.mispredict_fallbacks += stats.mispredict_fallbacks;
-      m.stats.mispredict_recomputes += stats.mispredict_recomputes;
-      m.stats.prefill_swaps += stats.prefill_swaps;
-      m.stats.decode_swaps += stats.decode_swaps;
-      m.stats.quantized_execs += stats.quantized_execs;
-      m.stats.skipped_experts += stats.skipped_experts;
     }
   }
   for (std::size_t e = 0; e < ecrs.size(); ++e) {

@@ -15,6 +15,12 @@ FunctionalModel::FunctionalModel(ModelConfig cfg, std::uint64_t seed)
   DAOP_CHECK_LE(cfg_.top_k, kMaxTopK);
 }
 
+int FunctionalModel::rows_of(std::size_t size, int width) {
+  const auto w = static_cast<std::size_t>(width);
+  DAOP_CHECK(size >= w && size % w == 0);
+  return static_cast<int>(size / w);
+}
+
 void FunctionalModel::embed(int token, std::span<float> x) const {
   DAOP_CHECK(token >= 0 && token < cfg_.vocab_size);
   DAOP_CHECK_EQ(static_cast<int>(x.size()), cfg_.d_model);
@@ -25,68 +31,100 @@ void FunctionalModel::embed(int token, std::span<float> x) const {
 void FunctionalModel::attention_block(int layer, std::span<float> x,
                                       KvCache& kv, int pos) const {
   DAOP_CHECK(layer >= 0 && layer < cfg_.n_layers);
-  DAOP_CHECK_EQ(static_cast<int>(x.size()), cfg_.d_model);
+  const int n = rows_of(x.size(), cfg_.d_model);
   const LayerWeights& lw = weights_.layers[static_cast<std::size_t>(layer)];
-  const int qdim = cfg_.n_heads * cfg_.head_dim;
-  const int kvdim = cfg_.n_kv_heads * cfg_.head_dim;
+  const auto D = static_cast<std::size_t>(cfg_.d_model);
+  const auto hd = static_cast<std::size_t>(cfg_.head_dim);
+  const auto qdim = static_cast<std::size_t>(cfg_.n_heads) * hd;
+  const auto kvdim = static_cast<std::size_t>(kv.kv_dim());
   const int group = cfg_.n_heads / cfg_.n_kv_heads;
 
-  std::vector<float> h(static_cast<std::size_t>(cfg_.d_model));
-  rmsnorm(x, lw.attn_norm.span(), cfg_.rms_eps, h);
+  std::vector<float> h(x.size());
+  for (int t = 0; t < n; ++t) {
+    rmsnorm(x.subspan(t * D, D), lw.attn_norm.span(), cfg_.rms_eps,
+            std::span<float>(h).subspan(t * D, D));
+  }
 
-  std::vector<float> q(static_cast<std::size_t>(qdim));
-  matvec(lw.wq, h, q);
-  rope_inplace(q, cfg_.n_heads, cfg_.head_dim, pos, cfg_.rope_theta);
+  std::vector<float> q(static_cast<std::size_t>(n) * qdim);
+  matmul(lw.wq, h, n, q);
+  const auto k = kv.k_span(layer, pos, n);
+  const auto v = kv.v_span(layer, pos, n);
+  matmul(lw.wk, h, n, k);
+  matmul(lw.wv, h, n, v);
+  std::vector<float> rotation(hd);
+  for (int t = 0; t < n; ++t) {
+    rope_rotation(cfg_.head_dim, pos + t, cfg_.rope_theta, rotation);
+    rope_apply(std::span<float>(q).subspan(t * qdim, qdim), cfg_.n_heads,
+               cfg_.head_dim, rotation);
+    rope_apply(k.subspan(t * kvdim, kvdim), cfg_.n_kv_heads, cfg_.head_dim,
+               rotation);
+  }
 
-  auto kslot = kv.k_slot(layer, pos);
-  auto vslot = kv.v_slot(layer, pos);
-  matvec(lw.wk, h, kslot);
-  rope_inplace(kslot, cfg_.n_kv_heads, cfg_.head_dim, pos, cfg_.rope_theta);
-  matvec(lw.wv, h, vslot);
-
-  // Causal attention over positions [0, pos].
+  // Causal attention: row t sees positions [0, pos + t].
+  const auto keys = kv.k_rows(layer, pos + n);
+  const auto values = kv.v_rows(layer, pos + n);
   const float inv_sqrt_d = 1.0F / std::sqrt(static_cast<float>(cfg_.head_dim));
-  std::vector<float> attn_out(static_cast<std::size_t>(qdim), 0.0F);
-  std::vector<float> scores(static_cast<std::size_t>(pos) + 1);
-  for (int hd = 0; hd < cfg_.n_heads; ++hd) {
-    const int kvh = hd / group;
-    const float* qh = q.data() + static_cast<std::size_t>(hd) * cfg_.head_dim;
-    for (int p = 0; p <= pos; ++p) {
-      const auto kp = kv.k_at(layer, p);
-      const float* kh = kp.data() + static_cast<std::size_t>(kvh) * cfg_.head_dim;
-      float s = 0.0F;
-      for (int d = 0; d < cfg_.head_dim; ++d) s += qh[d] * kh[d];
-      scores[static_cast<std::size_t>(p)] = s * inv_sqrt_d;
-    }
-    softmax_inplace(std::span<float>(scores.data(), static_cast<std::size_t>(pos) + 1));
-    float* oh = attn_out.data() + static_cast<std::size_t>(hd) * cfg_.head_dim;
-    for (int p = 0; p <= pos; ++p) {
-      const auto vp = kv.v_at(layer, p);
-      const float* vh = vp.data() + static_cast<std::size_t>(kvh) * cfg_.head_dim;
-      const float w = scores[static_cast<std::size_t>(p)];
-      for (int d = 0; d < cfg_.head_dim; ++d) oh[d] += w * vh[d];
+  std::vector<float> attn_out(q.size(), 0.0F);
+  std::vector<float> scores(static_cast<std::size_t>(pos + n));
+  for (int t = 0; t < n; ++t) {
+    const int last = pos + t;
+    const auto seen = std::span<float>(scores).first(
+        static_cast<std::size_t>(last) + 1);
+    for (int head = 0; head < cfg_.n_heads; ++head) {
+      const std::size_t kv_off = static_cast<std::size_t>(head / group) * hd;
+      const float* qh = q.data() + t * qdim + head * hd;
+      // Four positions at a time: four independent dot-product chains,
+      // each summing d ascending.
+      int p = 0;
+      for (; p + 4 <= last + 1; p += 4) {
+        const float* kh = keys.data() + p * kvdim + kv_off;
+        float s[4] = {};
+        for (std::size_t d = 0; d < hd; ++d) {
+          for (std::size_t j = 0; j < 4; ++j) s[j] += qh[d] * kh[j * kvdim + d];
+        }
+        for (std::size_t j = 0; j < 4; ++j) {
+          seen[static_cast<std::size_t>(p) + j] = s[j] * inv_sqrt_d;
+        }
+      }
+      for (; p <= last; ++p) {
+        const float* kh = keys.data() + p * kvdim + kv_off;
+        float s = 0.0F;
+        for (std::size_t d = 0; d < hd; ++d) s += qh[d] * kh[d];
+        seen[static_cast<std::size_t>(p)] = s * inv_sqrt_d;
+      }
+      softmax_inplace(seen);
+      float* oh = attn_out.data() + t * qdim + head * hd;
+      for (int p = 0; p <= last; ++p) {
+        const float* vh = values.data() + p * kvdim + kv_off;
+        const float w = seen[static_cast<std::size_t>(p)];
+        for (std::size_t d = 0; d < hd; ++d) oh[d] += w * vh[d];
+      }
     }
   }
-  DAOP_CHECK_EQ(static_cast<int>(kslot.size()), kvdim);
 
-  std::vector<float> proj(static_cast<std::size_t>(cfg_.d_model));
-  matvec(lw.wo, attn_out, proj);
+  std::vector<float> proj(x.size());
+  matmul(lw.wo, attn_out, n, proj);
   add_inplace(x, proj);
 }
 
 void FunctionalModel::ffn_input(int layer, std::span<const float> x,
                                 std::span<float> h) const {
   DAOP_CHECK(layer >= 0 && layer < cfg_.n_layers);
+  DAOP_CHECK_EQ(x.size(), h.size());
   const LayerWeights& lw = weights_.layers[static_cast<std::size_t>(layer)];
-  rmsnorm(x, lw.ffn_norm.span(), cfg_.rms_eps, h);
+  const auto D = static_cast<std::size_t>(cfg_.d_model);
+  const int n = rows_of(x.size(), cfg_.d_model);
+  for (int t = 0; t < n; ++t) {
+    rmsnorm(x.subspan(t * D, D), lw.ffn_norm.span(), cfg_.rms_eps,
+            h.subspan(t * D, D));
+  }
 }
 
 void FunctionalModel::gate(int layer, std::span<const float> h,
                            std::span<float> logits) const {
   DAOP_CHECK(layer >= 0 && layer < cfg_.n_layers);
-  DAOP_CHECK_EQ(static_cast<int>(logits.size()), cfg_.n_experts);
   const LayerWeights& lw = weights_.layers[static_cast<std::size_t>(layer)];
-  matvec(lw.gate, h, logits);
+  matmul(lw.gate, h, rows_of(h.size(), cfg_.d_model), logits);
 }
 
 RouteDecision FunctionalModel::route(std::span<const float> logits) const {
@@ -103,87 +141,183 @@ void FunctionalModel::expert_forward(int layer, int expert,
                                      std::span<float> out) const {
   DAOP_CHECK(layer >= 0 && layer < cfg_.n_layers);
   DAOP_CHECK(expert >= 0 && expert < cfg_.n_experts);
-  DAOP_CHECK_EQ(static_cast<int>(out.size()), cfg_.d_model);
+  const int n = rows_of(h.size(), cfg_.d_model);
   const ExpertWeights& ew =
       weights_.layers[static_cast<std::size_t>(layer)]
           .experts[static_cast<std::size_t>(expert)];
 
-  std::vector<float> a(static_cast<std::size_t>(cfg_.d_ff));
-  std::vector<float> b(static_cast<std::size_t>(cfg_.d_ff));
-  matvec(ew.w1, h, a);
-  matvec(ew.w3, h, b);
+  std::vector<float> a(static_cast<std::size_t>(n) * cfg_.d_ff);
+  std::vector<float> b(a.size());
+  matmul(ew.w1, h, n, a);
+  matmul(ew.w3, h, n, b);
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = silu(a[i]) * b[i];
-  matvec(ew.w2, a, out);
+  matmul(ew.w2, a, n, out);
+}
+
+void FunctionalModel::run_experts(int layer, std::span<const float> h,
+                                  std::span<const ExpertJob> jobs,
+                                  std::span<float> out) const {
+  const auto D = static_cast<std::size_t>(cfg_.d_model);
+  const int rows = rows_of(h.size(), cfg_.d_model);
+  for (const ExpertJob& j : jobs) {
+    DAOP_CHECK(j.expert >= 0 && j.expert < cfg_.n_experts);
+    DAOP_CHECK(j.row >= 0 && j.row < rows);
+    DAOP_CHECK(j.slot >= 0 && static_cast<std::size_t>(j.slot) < out.size() / D);
+  }
+  std::vector<float> in;
+  std::vector<float> res;
+  std::vector<int> slots;
+  for (int e = 0; e < cfg_.n_experts; ++e) {
+    in.clear();
+    slots.clear();
+    for (const ExpertJob& j : jobs) {
+      if (j.expert != e) continue;
+      const auto row = h.subspan(static_cast<std::size_t>(j.row) * D, D);
+      in.insert(in.end(), row.begin(), row.end());
+      slots.push_back(j.slot);
+    }
+    if (slots.empty()) continue;
+    res.resize(in.size());
+    expert_forward(layer, e, in, res);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      std::copy_n(res.begin() + static_cast<std::ptrdiff_t>(i * D), D,
+                  out.begin() + static_cast<std::ptrdiff_t>(
+                                    static_cast<std::size_t>(slots[i]) * D));
+    }
+  }
 }
 
 void FunctionalModel::lm_logits(std::span<const float> x,
                                 std::span<float> logits) const {
-  DAOP_CHECK_EQ(static_cast<int>(logits.size()), cfg_.vocab_size);
-  std::vector<float> h(static_cast<std::size_t>(cfg_.d_model));
-  rmsnorm(x, weights_.final_norm.span(), cfg_.rms_eps, h);
-  matvec(weights_.lm_head, h, logits);
+  const auto D = static_cast<std::size_t>(cfg_.d_model);
+  const int n = rows_of(x.size(), cfg_.d_model);
+  std::vector<float> h(x.size());
+  for (int t = 0; t < n; ++t) {
+    rmsnorm(x.subspan(t * D, D), weights_.final_norm.span(), cfg_.rms_eps,
+            std::span<float>(h).subspan(t * D, D));
+  }
+  matmul(weights_.lm_head, h, n, logits);
 }
 
-RouteDecision FunctionalModel::official_block(
+std::vector<RouteDecision> FunctionalModel::official_block(
     int layer, std::span<float> x, KvCache& kv, int pos, const GateBias& bias,
     std::vector<float>* gate_logits_out) const {
   attention_block(layer, x, kv, pos);
 
-  std::vector<float> h(static_cast<std::size_t>(cfg_.d_model));
+  const int n = rows_of(x.size(), cfg_.d_model);
+  const auto D = static_cast<std::size_t>(cfg_.d_model);
+  const auto E = static_cast<std::size_t>(cfg_.n_experts);
+  const auto K = static_cast<std::size_t>(cfg_.top_k);
+  std::vector<float> h(x.size());
   ffn_input(layer, x, h);
-
-  std::vector<float> logits(static_cast<std::size_t>(cfg_.n_experts));
+  std::vector<float> logits(static_cast<std::size_t>(n) * E);
   gate(layer, h, logits);
-  if (bias) bias(layer, pos, logits);
-  RouteDecision d = route(logits);
-  if (gate_logits_out) *gate_logits_out = logits;
 
-  std::vector<float> out(static_cast<std::size_t>(cfg_.d_model));
-  for (std::size_t i = 0; i < d.experts.size(); ++i) {
-    expert_forward(layer, d.experts[i], h, out);
-    axpy_inplace(x, d.weights[i], out);
+  std::vector<RouteDecision> d(static_cast<std::size_t>(n));
+  std::vector<ExpertJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(n) * K);
+  for (int t = 0; t < n; ++t) {
+    const auto row = std::span<float>(logits).subspan(t * E, E);
+    if (bias) bias(layer, pos + t, row);
+    d[static_cast<std::size_t>(t)] = route(row);
+    for (std::size_t i = 0; i < K; ++i) {
+      jobs.push_back({d[static_cast<std::size_t>(t)].experts[i], t,
+                      static_cast<int>(t * K + i)});
+    }
   }
+  std::vector<float> out(jobs.size() * D);
+  run_experts(layer, h, jobs, out);
+  for (int t = 0; t < n; ++t) {
+    for (std::size_t i = 0; i < K; ++i) {
+      axpy_inplace(x.subspan(t * D, D), d[static_cast<std::size_t>(t)].weights[i],
+                   std::span<const float>(out).subspan((t * K + i) * D, D));
+    }
+  }
+  if (gate_logits_out) *gate_logits_out = std::move(logits);
   return d;
 }
 
 OfficialDecoder::OfficialDecoder(const FunctionalModel& model)
     : model_(model) {}
 
-std::vector<int> OfficialDecoder::generate(std::span<const int> prompt,
-                                           int n_gen, const GateBias& bias,
-                                           const RouteObserver& observer) const {
+PrefillState OfficialDecoder::prefill(std::span<const int> prompt,
+                                      int max_new_tokens, const GateBias& bias,
+                                      const RouteObserver& observer) const {
   DAOP_CHECK(!prompt.empty());
+  DAOP_CHECK_GE(max_new_tokens, 0);
+  const ModelConfig& cfg = model_.config();
+  const int n = static_cast<int>(prompt.size());
+  const auto D = static_cast<std::size_t>(cfg.d_model);
+  const auto E = static_cast<std::size_t>(cfg.n_experts);
+  PrefillState state{KvCache(cfg, n + max_new_tokens), -1,
+                     std::vector<std::vector<double>>(
+                         static_cast<std::size_t>(cfg.n_layers),
+                         std::vector<double>(E, 0.0))};
+
+  std::vector<float> x(static_cast<std::size_t>(n) * D);
+  for (int t = 0; t < n; ++t) {
+    model_.embed(prompt[static_cast<std::size_t>(t)],
+                 std::span<float>(x).subspan(t * D, D));
+  }
+  std::vector<float> gate_logits;
+  for (int l = 0; l < cfg.n_layers; ++l) {
+    const std::vector<RouteDecision> d = model_.official_block(
+        l, x, state.kv, 0, bias, observer ? &gate_logits : nullptr);
+    auto& counts = state.counts[static_cast<std::size_t>(l)];
+    for (int t = 0; t < n; ++t) {
+      const RouteDecision& dt = d[static_cast<std::size_t>(t)];
+      for (int e : dt.experts) counts[static_cast<std::size_t>(e)] += 1.0;
+      if (observer) {
+        observer(l, t, true,
+                 std::span<const float>(gate_logits).subspan(t * E, E), dt);
+      }
+    }
+  }
+  state.kv.advance(n);
+
+  std::vector<float> logits(static_cast<std::size_t>(cfg.vocab_size));
+  model_.lm_logits(std::span<const float>(x).last(D), logits);
+  state.first_token = argmax(logits);
+  return state;
+}
+
+std::vector<int> OfficialDecoder::generate(PrefillState state, int n_gen,
+                                           const GateBias& bias,
+                                           const RouteObserver& observer) const {
   DAOP_CHECK_GE(n_gen, 0);
   const ModelConfig& cfg = model_.config();
-  const int total = static_cast<int>(prompt.size()) + n_gen;
-  KvCache kv(cfg, total);
+  std::vector<int> out;
+  if (n_gen == 0) return out;
+  out.reserve(static_cast<std::size_t>(n_gen));
+  out.push_back(state.first_token);
 
   std::vector<float> x(static_cast<std::size_t>(cfg.d_model));
   std::vector<float> logits(static_cast<std::size_t>(cfg.vocab_size));
-  std::vector<float> gate_logits(static_cast<std::size_t>(cfg.n_experts));
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(n_gen));
-
-  int next_token = -1;
-  for (int pos = 0; pos < total; ++pos) {
-    const bool is_prefill = pos < static_cast<int>(prompt.size());
-    const int token =
-        is_prefill ? prompt[static_cast<std::size_t>(pos)] : next_token;
-    model_.embed(token, x);
+  std::vector<float> gate_logits;
+  // The last step's token is never returned: it runs only so the observer
+  // sees the routing of every decode position.
+  const int steps = observer ? n_gen : n_gen - 1;
+  for (int g = 0; g < steps; ++g) {
+    const int pos = state.kv.size();
+    model_.embed(out[static_cast<std::size_t>(g)], x);
     for (int l = 0; l < cfg.n_layers; ++l) {
-      std::vector<float>* logits_ptr = observer ? &gate_logits : nullptr;
-      RouteDecision d = model_.official_block(l, x, kv, pos, bias, logits_ptr);
-      if (observer) observer(l, pos, is_prefill, gate_logits, d);
+      const std::vector<RouteDecision> d = model_.official_block(
+          l, x, state.kv, pos, bias, observer ? &gate_logits : nullptr);
+      if (observer) observer(l, pos, false, gate_logits, d.front());
     }
-    kv.advance();
-    if (pos == total - 1 && n_gen == 0) break;
+    state.kv.advance();
+    if (g + 1 == n_gen) break;
     model_.lm_logits(x, logits);
-    next_token = argmax(logits);
-    if (!is_prefill || pos == static_cast<int>(prompt.size()) - 1) {
-      if (static_cast<int>(out.size()) < n_gen) out.push_back(next_token);
-    }
+    out.push_back(argmax(logits));
   }
   return out;
+}
+
+std::vector<int> OfficialDecoder::generate(std::span<const int> prompt,
+                                           int n_gen, const GateBias& bias,
+                                           const RouteObserver& observer) const {
+  return generate(prefill(prompt, n_gen, bias, observer), n_gen, bias,
+                  observer);
 }
 
 }  // namespace daop::model

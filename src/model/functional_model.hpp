@@ -24,6 +24,11 @@ namespace daop::model {
 /// statistics on the functional model; it is applied identically to the
 /// official and DAOP executors, so it acts as part of the input, not as an
 /// approximation.
+///
+/// A GateBias must be a pure function of (layer, pos): the span paths call
+/// it layer by layer over many positions, and the DAOP executor calls it
+/// for the gate-ahead prediction of layer l+1 before layer l+1 itself.
+/// data::make_gate_bias precomputes its whole field, so it is pure.
 using GateBias =
     std::function<void(int layer, int pos, std::span<float> logits)>;
 
@@ -35,10 +40,41 @@ struct RouteDecision {
 
 /// Observer invoked at every gate evaluation (used to collect activation
 /// patterns for observations ①/②, Table II, and Algorithm 1 counting).
+/// The events of one span of known tokens (a prompt) arrive layer-major:
+/// every position of layer 0, then of layer 1, and so on. Consumers must
+/// not depend on the order of events; positions are in `pos`.
 using RouteObserver = std::function<void(
     int layer, int pos, bool is_prefill, std::span<const float> logits,
     const RouteDecision& decision)>;
 
+/// One expert run over one row of a span: expert `expert` applied to row
+/// `row` of the span's hidden states, written to output slot `slot`.
+struct ExpertJob {
+  int expert = 0;
+  int row = 0;
+  int slot = 0;
+};
+
+/// The exact prefill of one prompt: what a decoder needs to continue the
+/// sequence. Prefill is exact under DAOP (§IV-B), so the official decoder
+/// and every DAOP decode of one prompt under one GateBias continue from the
+/// same state.
+struct PrefillState {
+  KvCache kv;  ///< the prompt's keys/values; room for the decode after it
+  int first_token = -1;  ///< argmax of the lm logits after the prompt
+  /// counts[layer][expert]: prompt tokens routed to the expert (the input
+  /// of Algorithm 1's sequence-specific allocation).
+  std::vector<std::vector<double>> counts;
+
+  int prompt_len() const { return kv.size(); }
+};
+
+/// Every sub-block works on a span of rows: `x` holds n = x.size() /
+/// d_model rows, the consecutive positions [pos, pos + n) of one sequence,
+/// row-major. A decode step is a span of one row. Each row's numerics are
+/// bit-identical whatever the span length: the multi-row kernel keeps every
+/// output's accumulation chain, and each row's expert outputs are added in
+/// the order of its own routing decision.
 class FunctionalModel {
  public:
   FunctionalModel(ModelConfig cfg, std::uint64_t seed);
@@ -49,39 +85,52 @@ class FunctionalModel {
   /// x = embedding[token]
   void embed(int token, std::span<float> x) const;
 
-  /// x <- x + Attention(RMSNorm(x)); appends this position's k/v to `kv`.
-  /// `pos` must equal kv.size() for the layer being extended.
+  /// x <- x + Attention(RMSNorm(x)) for every row, each attending causally
+  /// to the cache and the span's earlier rows; appends the span's k/v to
+  /// `kv`. `pos` must equal kv.size().
   void attention_block(int layer, std::span<float> x, KvCache& kv,
                        int pos) const;
 
-  /// h = RMSNorm_ffn(x): the hidden state fed to the gate and the experts —
-  /// and, in DAOP, the state used to predict the next layer's experts.
+  /// h = RMSNorm_ffn(x) per row: the hidden state fed to the gate and the
+  /// experts — and, in DAOP, the state used to predict the next layer's
+  /// experts.
   void ffn_input(int layer, std::span<const float> x,
                  std::span<float> h) const;
 
-  /// logits = gate_layer(h); logits must have n_experts elements.
+  /// logits = gate_layer(h) per row; logits holds n_experts per row.
   void gate(int layer, std::span<const float> h,
             std::span<float> logits) const;
 
   /// Selects top_k experts from logits and renormalizes their scores.
   RouteDecision route(std::span<const float> logits) const;
 
-  /// out = SwiGLU expert (w2(silu(w1 h) * (w3 h))); out has d_model elems.
+  /// out = SwiGLU expert (w2(silu(w1 h) * (w3 h))) per row of h.
   void expert_forward(int layer, int expert, std::span<const float> h,
                       std::span<float> out) const;
 
-  /// logits over the vocabulary from the final residual state.
+  /// Runs every job on the span's hidden states `h` into `out` (d_model
+  /// floats per slot), each expert once over all of its rows: ExpertFlow's
+  /// token grouping on the functional plane.
+  void run_experts(int layer, std::span<const float> h,
+                   std::span<const ExpertJob> jobs,
+                   std::span<float> out) const;
+
+  /// Logits over the vocabulary from the final residual state, per row.
   void lm_logits(std::span<const float> x, std::span<float> logits) const;
 
-  /// Runs one full official block (attention + exact MoE) in place,
-  /// returning the route taken. Convenience for the baseline executor.
-  /// When `gate_logits_out` is non-null it receives the (biased) gate
-  /// logits that produced the decision.
-  RouteDecision official_block(int layer, std::span<float> x, KvCache& kv,
-                               int pos, const GateBias& bias,
-                               std::vector<float>* gate_logits_out = nullptr) const;
+  /// Runs one full official block (attention + exact MoE) over a span in
+  /// place, returning each row's route. When `gate_logits_out` is non-null
+  /// it receives the (biased) gate logits of every row, n_experts per row.
+  std::vector<RouteDecision> official_block(
+      int layer, std::span<float> x, KvCache& kv, int pos,
+      const GateBias& bias,
+      std::vector<float>* gate_logits_out = nullptr) const;
 
  private:
+  /// Rows in `size` floats of `width`-float rows; CheckError unless that
+  /// is a whole number of at least one.
+  static int rows_of(std::size_t size, int width);
+
   ModelConfig cfg_;
   ModelWeights weights_;
 };
@@ -90,6 +139,20 @@ class FunctionalModel {
 class OfficialDecoder {
  public:
   explicit OfficialDecoder(const FunctionalModel& model);
+
+  /// The exact prefill of `prompt`, run layer by layer over the whole
+  /// prompt, with room in its cache for `max_new_tokens` decode positions.
+  /// `observer` (optional) sees the prompt's routing events, layer-major.
+  PrefillState prefill(std::span<const int> prompt, int max_new_tokens,
+                       const GateBias& bias = nullptr,
+                       const RouteObserver& observer = nullptr) const;
+
+  /// Greedily decodes `n_gen` tokens continuing `state` (taken by value:
+  /// pass a copy to continue one prefill several times). `bias` must be
+  /// the prefill's; `observer` (optional) sees every decode routing event.
+  std::vector<int> generate(PrefillState state, int n_gen,
+                            const GateBias& bias = nullptr,
+                            const RouteObserver& observer = nullptr) const;
 
   /// Prefill `prompt` then greedily decode `n_gen` tokens. `bias` (optional)
   /// conditions the router; `observer` (optional) sees every routing event.

@@ -1,5 +1,7 @@
 #include "model/kv_cache.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace daop::model {
@@ -17,40 +19,53 @@ KvCache::KvCache(const ModelConfig& cfg, int max_seq)
   }
 }
 
-std::span<float> KvCache::k_slot(int layer, int pos) {
+std::span<float> KvCache::rows(std::vector<Tensor>& t, int layer, int pos,
+                               int n) {
   DAOP_CHECK(layer >= 0 && layer < n_layers_);
-  DAOP_CHECK(pos >= 0 && pos < max_seq_);
-  DAOP_CHECK_LE(pos, size_);  // may only write the frontier or rewrite past
-  return k_[static_cast<std::size_t>(layer)].row(pos);
+  DAOP_CHECK_EQ(pos, size_);  // spans append at the frontier only
+  DAOP_CHECK_GE(n, 1);
+  DAOP_CHECK_LE(pos + n, max_seq_);
+  open_end_ = std::max(open_end_, pos + n);
+  float* base = t[static_cast<std::size_t>(layer)].data();
+  return {base + static_cast<std::size_t>(pos) * kv_dim_,
+          static_cast<std::size_t>(n) * kv_dim_};
 }
 
-std::span<float> KvCache::v_slot(int layer, int pos) {
+std::span<const float> KvCache::prefix(const std::vector<Tensor>& t,
+                                       int layer, int end) const {
   DAOP_CHECK(layer >= 0 && layer < n_layers_);
-  DAOP_CHECK(pos >= 0 && pos < max_seq_);
-  DAOP_CHECK_LE(pos, size_);
-  return v_[static_cast<std::size_t>(layer)].row(pos);
+  DAOP_CHECK(end >= 0 && end <= std::max(size_, open_end_));
+  return {t[static_cast<std::size_t>(layer)].data(),
+          static_cast<std::size_t>(end) * kv_dim_};
 }
 
-std::span<const float> KvCache::k_at(int layer, int pos) const {
-  DAOP_CHECK(layer >= 0 && layer < n_layers_);
-  DAOP_CHECK(pos >= 0 && pos <= size_ && pos < max_seq_);
-  return k_[static_cast<std::size_t>(layer)].row(pos);
+std::span<float> KvCache::k_span(int layer, int pos, int n) {
+  return rows(k_, layer, pos, n);
 }
 
-std::span<const float> KvCache::v_at(int layer, int pos) const {
-  DAOP_CHECK(layer >= 0 && layer < n_layers_);
-  DAOP_CHECK(pos >= 0 && pos <= size_ && pos < max_seq_);
-  return v_[static_cast<std::size_t>(layer)].row(pos);
+std::span<float> KvCache::v_span(int layer, int pos, int n) {
+  return rows(v_, layer, pos, n);
 }
 
-void KvCache::advance() {
-  DAOP_CHECK_LT(size_, max_seq_);
-  ++size_;
+std::span<const float> KvCache::k_rows(int layer, int end) const {
+  return prefix(k_, layer, end);
+}
+
+std::span<const float> KvCache::v_rows(int layer, int end) const {
+  return prefix(v_, layer, end);
+}
+
+void KvCache::advance(int n) {
+  DAOP_CHECK_GE(n, 1);
+  DAOP_CHECK_LE(size_ + n, max_seq_);
+  size_ += n;
+  open_end_ = std::max(open_end_, size_);
 }
 
 void KvCache::truncate(int n) {
   DAOP_CHECK(n >= 0 && n <= size_);
   size_ = n;
+  open_end_ = n;
 }
 
 }  // namespace daop::model

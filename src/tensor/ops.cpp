@@ -22,37 +22,65 @@ Vec4 load4(const float* p) {
   return v;
 }
 
-}  // namespace
-
-void matvec(const PackedMatrix& w, std::span<const float> x,
-            std::span<float> y) {
-  DAOP_CHECK_EQ(static_cast<std::int64_t>(x.size()), w.cols());
-  DAOP_CHECK_EQ(static_cast<std::int64_t>(y.size()), w.rows());
-  static_assert(PackedMatrix::kPanelRows == 16, "four Vec4 lanes per panel");
+// The scalar chains of R input rows (starting at row t of x) against P
+// consecutive panels (starting at panel p): R * P * 4 independent Vec4
+// accumulators, each weight vector loaded once for all R rows. Every
+// chain starts at 0.0f and adds W[r][c] * x[c] for c ascending.
+template <int R, int P>
+void panel_block(const PackedMatrix& w, std::int64_t p, const float* x,
+                 int t, float* y) {
+  constexpr std::int64_t kRows = PackedMatrix::kPanelRows;
   const std::int64_t rows = w.rows();
   const std::int64_t cols = w.cols();
-  for (std::int64_t p = 0; p < w.panels(); ++p) {
-    const float* wp = w.panel(p);
-    Vec4 a0 = {0.0F, 0.0F, 0.0F, 0.0F};
-    Vec4 a1 = a0;
-    Vec4 a2 = a0;
-    Vec4 a3 = a0;
-    for (std::int64_t c = 0; c < cols; ++c, wp += 16) {
-      const float xc = x[static_cast<std::size_t>(c)];
-      const Vec4 xv = {xc, xc, xc, xc};
-      a0 += load4(wp) * xv;
-      a1 += load4(wp + 4) * xv;
-      a2 += load4(wp + 8) * xv;
-      a3 += load4(wp + 12) * xv;
+  const float* wp[P];
+  for (int i = 0; i < P; ++i) wp[i] = w.panel(p + i);
+  const float* xr[R];
+  for (int r = 0; r < R; ++r) xr[r] = x + (t + r) * cols;
+  Vec4 acc[R][P][4] = {};
+  for (std::int64_t c = 0; c < cols; ++c) {
+    Vec4 u[R];
+    for (int r = 0; r < R; ++r) {
+      const float v = xr[r][c];
+      u[r] = Vec4{v, v, v, v};
     }
-    float lanes[16];
-    std::memcpy(lanes, &a0, sizeof(a0));
-    std::memcpy(lanes + 4, &a1, sizeof(a1));
-    std::memcpy(lanes + 8, &a2, sizeof(a2));
-    std::memcpy(lanes + 12, &a3, sizeof(a3));
-    const std::int64_t r0 = p * PackedMatrix::kPanelRows;
-    const std::int64_t n = std::min(PackedMatrix::kPanelRows, rows - r0);
-    std::copy(lanes, lanes + n, y.begin() + r0);
+    for (int i = 0; i < P; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        const Vec4 wv = load4(wp[i] + c * kRows + 4 * j);
+        for (int r = 0; r < R; ++r) acc[r][i][j] += wv * u[r];
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int i = 0; i < P; ++i) {
+      const std::int64_t r0 = (p + i) * kRows;
+      float lanes[kRows];
+      std::memcpy(lanes, acc[r][i], sizeof(lanes));
+      // The zero-padded rows past the matrix's end are dropped.
+      std::copy(lanes, lanes + std::min(kRows, rows - r0),
+                y + (t + r) * rows + r0);
+    }
+  }
+}
+
+}  // namespace
+
+void matmul(const PackedMatrix& w, std::span<const float> x, int n,
+            std::span<float> y) {
+  DAOP_CHECK_GE(n, 1);
+  DAOP_CHECK_EQ(static_cast<std::int64_t>(x.size()), n * w.cols());
+  DAOP_CHECK_EQ(static_cast<std::int64_t>(y.size()), n * w.rows());
+  static_assert(PackedMatrix::kPanelRows == 16, "four Vec4 lanes per panel");
+  const std::int64_t panels = w.panels();
+  // Two input rows per pass over a panel: eight chains, one weight load.
+  for (std::int64_t p = 0; p < panels; ++p) {
+    for (int t = 0; t + 2 <= n; t += 2) {
+      panel_block<2, 1>(w, p, x.data(), t, y.data());
+    }
+  }
+  if (n % 2 == 1) {
+    for (std::int64_t p = 0; p < panels; ++p) {
+      panel_block<1, 1>(w, p, x.data(), n - 1, y.data());
+    }
   }
 }
 
@@ -197,24 +225,40 @@ void silu_inplace(std::span<float> x) {
   for (auto& v : x) v = silu(v);
 }
 
-void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
-                  float theta) {
-  DAOP_CHECK_EQ(static_cast<int>(x.size()), n_heads * head_dim);
+void rope_rotation(int head_dim, int pos, float theta, std::span<float> cs) {
   DAOP_CHECK_EQ(head_dim % 2, 0);
+  DAOP_CHECK_EQ(static_cast<int>(cs.size()), head_dim);
+  for (int i = 0; i < head_dim; i += 2) {
+    const float freq =
+        std::pow(theta, -static_cast<float>(i) / static_cast<float>(head_dim));
+    const float angle = static_cast<float>(pos) * freq;
+    cs[static_cast<std::size_t>(i)] = std::cos(angle);
+    cs[static_cast<std::size_t>(i) + 1] = std::sin(angle);
+  }
+}
+
+void rope_apply(std::span<float> x, int n_heads, int head_dim,
+                std::span<const float> cs) {
+  DAOP_CHECK_EQ(static_cast<int>(x.size()), n_heads * head_dim);
+  DAOP_CHECK_EQ(static_cast<int>(cs.size()), head_dim);
   for (int h = 0; h < n_heads; ++h) {
     float* base = x.data() + static_cast<std::size_t>(h) * head_dim;
     for (int i = 0; i < head_dim; i += 2) {
-      const float freq =
-          std::pow(theta, -static_cast<float>(i) / static_cast<float>(head_dim));
-      const float angle = static_cast<float>(pos) * freq;
-      const float c = std::cos(angle);
-      const float s = std::sin(angle);
+      const float c = cs[static_cast<std::size_t>(i)];
+      const float s = cs[static_cast<std::size_t>(i) + 1];
       const float x0 = base[i];
       const float x1 = base[i + 1];
       base[i] = x0 * c - x1 * s;
       base[i + 1] = x0 * s + x1 * c;
     }
   }
+}
+
+void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
+                  float theta) {
+  std::vector<float> cs(static_cast<std::size_t>(head_dim));
+  rope_rotation(head_dim, pos, theta, cs);
+  rope_apply(x, n_heads, head_dim, cs);
 }
 
 TopK topk_indices(std::span<const float> x, int k) {

@@ -18,13 +18,21 @@ namespace daop {
 
 // ---- GEMV / GEMM -----------------------------------------------------------
 
-/// y = W * x where W is [rows, cols] and x has `cols` elements. Every
-/// y[r] is the scalar chain acc = 0.0f; acc += W[r][c] * x[c] for c
+/// Y = X * W^T for `n` input rows: W is [rows, cols], x holds n rows of
+/// `cols` floats and y n rows of `rows` floats, both row-major. Every
+/// y[t][r] is the scalar chain acc = 0.0f; acc += W[r][c] * x[t][c] for c
 /// ascending, each product and sum rounded to float, so results are
-/// bit-identical to that loop; the panel layout only runs kPanelRows such
-/// chains side by side in vector lanes.
-void matvec(const PackedMatrix& w, std::span<const float> x,
+/// bit-identical to that loop whatever n is; the panel layout only runs
+/// kPanelRows such chains side by side in vector lanes, and two input rows
+/// share each pass over a panel's weights.
+void matmul(const PackedMatrix& w, std::span<const float> x, int n,
             std::span<float> y);
+
+/// y = W * x: the n = 1 case of matmul.
+inline void matvec(const PackedMatrix& w, std::span<const float> x,
+                   std::span<float> y) {
+  matmul(w, x, 1, y);
+}
 
 /// y = W^T * x where W is [rows, cols] and x has `rows` elements.
 void matvec_transposed(const Tensor& w, std::span<const float> x,
@@ -72,6 +80,15 @@ void silu_inplace(std::span<float> x);
 /// Pairs are (2i, 2i+1) within each head, standard LLaMA/Mixtral convention.
 void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
                   float theta);
+
+/// The rotation rope_inplace applies at `pos`: for each pair (2i, 2i+1) of
+/// a head, cs[2i] = cos and cs[2i+1] = sin of its angle (head_dim floats).
+/// Every head, and the queries and keys of one position, share it.
+void rope_rotation(int head_dim, int pos, float theta, std::span<float> cs);
+
+/// Rotates every head of x by a rope_rotation table.
+void rope_apply(std::span<float> x, int n_heads, int head_dim,
+                std::span<const float> cs);
 
 // ---- Selection ---------------------------------------------------------------
 

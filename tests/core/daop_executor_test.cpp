@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/placement.hpp"
+#include "common/check.hpp"
 #include "data/gate_bias.hpp"
 #include "data/workload.hpp"
 #include "eval/accuracy.hpp"
@@ -160,6 +161,102 @@ TEST_F(DaopExecutorTest, DegradationChangesExecutedExperts) {
   EXPECT_GT(stats.degradations + stats.mispredict_fallbacks +
                 stats.mispredict_recomputes + stats.stale_input_execs,
             0);
+}
+
+std::vector<long long> fields(const FunctionalRunStats& s) {
+  return {s.decode_expert_uses, s.exact_execs,   s.stale_input_execs,
+          s.degradations,       s.mispredict_fallbacks,
+          s.mispredict_recomputes, s.prefill_swaps, s.decode_swaps,
+          s.quantized_execs,    s.skipped_experts};
+}
+
+std::vector<DaopConfig> branch_configs() {
+  DaopConfig realloc;
+  realloc.decode_realloc_interval = 3;
+  DaopConfig quant;
+  quant.cpu_quant_bits = 4;
+  DaopConfig skip;
+  skip.skip_top1_margin = 0.6;
+  DaopConfig fallback;
+  fallback.mispredict_policy = MispredictPolicy::GracefulFallback;
+  return {DaopConfig{}, realloc, quant, skip, fallback};
+}
+
+TEST_F(DaopExecutorTest, TeacherForcedSpansMatchFreeRunningSteps) {
+  // Teacher-forcing on the free-running output consumes the same tokens,
+  // but in spans run layer by layer instead of one step at a time: tokens
+  // and every run counter must agree exactly.
+  const auto prompt = data::make_prompt(model_.config().vocab_size, 10, 3, 9);
+  const auto bias = bias_for(10, 14, 9);
+  for (double ecr : {1.0, 0.5, 0.25}) {
+    const auto placement = placement_with_ecr(ecr);
+    for (const DaopConfig& dc : branch_configs()) {
+      const DaopFunctionalExecutor daop(model_, dc);
+      FunctionalRunStats free_stats;
+      FunctionalRunStats forced_stats;
+      const auto free_run =
+          daop.generate(prompt, 14, placement, bias, &free_stats);
+      const auto forced = daop.generate(prompt, 14, placement, bias,
+                                        &forced_stats, free_run);
+      EXPECT_EQ(forced, free_run) << "ecr " << ecr;
+      EXPECT_EQ(fields(forced_stats), fields(free_stats)) << "ecr " << ecr;
+    }
+  }
+}
+
+TEST_F(DaopExecutorTest, GeneratePairEqualsTwoGenerateCalls) {
+  const auto prompt = data::make_prompt(model_.config().vocab_size, 10, 3, 10);
+  const auto bias = bias_for(10, 13, 10);
+  const model::OfficialDecoder official(model_);
+  const model::PrefillState prefill = official.prefill(prompt, 13, bias);
+  const auto ref = official.generate(prefill, 13, bias);
+  for (double ecr : {1.0, 0.5, 0.25, 0.125}) {
+    const auto placement = placement_with_ecr(ecr);
+    for (const DaopConfig& dc : branch_configs()) {
+      const DaopFunctionalExecutor daop(model_, dc);
+      FunctionalRunStats free_stats;
+      FunctionalRunStats forced_stats;
+      const auto free_run =
+          daop.generate(prompt, 13, placement, bias, &free_stats);
+      const auto forced =
+          daop.generate(prompt, 13, placement, bias, &forced_stats, ref);
+
+      FunctionalRunStats pair_free;
+      FunctionalRunStats pair_forced;
+      const DecodePair pair = daop.generate_pair(
+          prefill, 13, placement, bias, ref, &pair_free, &pair_forced);
+      EXPECT_EQ(pair.free_run, free_run) << "ecr " << ecr;
+      EXPECT_EQ(pair.forced, forced) << "ecr " << ecr;
+      EXPECT_EQ(fields(pair_free), fields(free_stats)) << "ecr " << ecr;
+      EXPECT_EQ(fields(pair_forced), fields(forced_stats)) << "ecr " << ecr;
+    }
+  }
+  const DaopFunctionalExecutor daop(model_);
+  for (int n : {0, 1, 2}) {
+    const DecodePair pair =
+        daop.generate_pair(prefill, n, placement_with_ecr(0.25), bias, ref);
+    EXPECT_EQ(pair.free_run,
+              daop.generate(prompt, n, placement_with_ecr(0.25), bias));
+    EXPECT_EQ(pair.forced, daop.generate(prompt, n, placement_with_ecr(0.25),
+                                         bias, nullptr, ref));
+  }
+  EXPECT_THROW(daop.generate_pair(prefill, 13, placement_with_ecr(0.5), bias,
+                                  std::span<const int>(ref).first(12)),
+               CheckError);
+}
+
+TEST_F(DaopExecutorTest, SharedPrefillEqualsOwnPrefill) {
+  const auto prompt = data::make_prompt(model_.config().vocab_size, 12, 3, 11);
+  const auto bias = bias_for(12, 10, 11);
+  const model::PrefillState prefill =
+      model::OfficialDecoder(model_).prefill(prompt, 10, bias);
+  const auto placement = placement_with_ecr(0.375);
+  const DaopFunctionalExecutor daop(model_);
+  FunctionalRunStats shared;
+  FunctionalRunStats own;
+  EXPECT_EQ(daop.generate(prefill, 10, placement, bias, &shared),
+            daop.generate(prompt, 10, placement, bias, &own));
+  EXPECT_EQ(fields(shared), fields(own));
 }
 
 }  // namespace

@@ -33,6 +33,34 @@ TEST(GateBias, PureFunctionOfLayerAndPos) {
   EXPECT_EQ(v1, v2);
 }
 
+TEST(GateBias, ReverseCallOrderGivesIdenticalLogits) {
+  // The span paths evaluate the bias layer-major and the gate-ahead
+  // prediction out of order, so a closure must give the same logits in any
+  // call order: here every (layer, pos) forwards, then in reverse.
+  const auto forwards = make(11, 3);
+  const auto backwards = make(11, 3);
+  std::vector<std::vector<float>> fwd;
+  for (int l = 0; l < kLayers; ++l) {
+    for (int pos = 0; pos < kMaxPos; ++pos) {
+      std::vector<float> logits(kExperts, 0.25F * static_cast<float>(l - pos));
+      forwards(l, pos, logits);
+      fwd.push_back(logits);
+    }
+  }
+  for (int l = kLayers - 1; l >= 0; --l) {
+    for (int pos = kMaxPos - 1; pos >= 0; --pos) {
+      std::vector<float> logits(kExperts, 0.25F * static_cast<float>(l - pos));
+      backwards(l, pos, logits);
+      EXPECT_EQ(logits, fwd[static_cast<std::size_t>(l * kMaxPos + pos)])
+          << "layer " << l << " pos " << pos;
+      // The forward closure, called again after all of its other calls.
+      std::vector<float> again(kExperts, 0.25F * static_cast<float>(l - pos));
+      forwards(l, pos, again);
+      EXPECT_EQ(again, logits);
+    }
+  }
+}
+
 TEST(GateBias, DeterministicAcrossConstructions) {
   const auto a = make(5, 2);
   const auto b = make(5, 2);

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "data/gate_bias.hpp"
+#include "eval/accuracy.hpp"
 #include "eval/similarity.hpp"
 #include "model/functional_model.hpp"
 #include "tensor/ops.hpp"
@@ -125,6 +130,77 @@ TEST_F(FunctionalObservations, GateAheadPredictionBeatsChance) {
   // Chance for top-2 of 8 is 0.25; the residual stream must do much better.
   EXPECT_GT(accuracy, 0.55);
   EXPECT_LE(accuracy, 1.0);
+}
+
+// The prompt's routing events arrive layer-major (the prefill runs layer by
+// layer over the whole prompt), decode events token-major. The matrices
+// above and the calibration counts are sums of +1.0 per routed expert, so
+// they must not depend on that order: built here from one recorded event
+// list replayed as received, reversed, token-major and layer-major.
+TEST_F(FunctionalObservations, ActivationMatricesIgnoreEventOrder) {
+  const auto& cfg = model_.config();
+  const int prompt_len = 20;
+  const int gen_len = 12;
+  const std::uint64_t seed = 55;
+  struct Event {
+    int layer;
+    int pos;
+    bool is_prefill;
+    std::vector<int> experts;
+  };
+  std::vector<Event> events;
+  const model::RouteObserver record =
+      [&](int layer, int pos, bool is_prefill, std::span<const float>,
+          const model::RouteDecision& d) {
+        events.push_back({layer, pos, is_prefill, d.experts});
+      };
+  const auto prompt = data::make_prompt(cfg.vocab_size, prompt_len, seed, 0);
+  const auto bias =
+      data::make_gate_bias(data::gsm8k(), cfg.n_layers, cfg.n_experts, seed, 0,
+                           prompt_len, prompt_len + gen_len + 1);
+  model::OfficialDecoder(model_).generate(prompt, gen_len, bias, record);
+  ASSERT_EQ(events.size(),
+            static_cast<std::size_t>((prompt_len + gen_len) * cfg.n_layers));
+
+  using Matrix = std::vector<std::vector<double>>;
+  const auto build = [&](const std::vector<Event>& order) {
+    std::pair<Matrix, Matrix> m{
+        Matrix(static_cast<std::size_t>(cfg.n_layers),
+               std::vector<double>(static_cast<std::size_t>(cfg.n_experts))),
+        Matrix(static_cast<std::size_t>(cfg.n_layers),
+               std::vector<double>(static_cast<std::size_t>(cfg.n_experts)))};
+    for (const Event& ev : order) {
+      auto& dst = ev.is_prefill ? m.first : m.second;
+      for (int e : ev.experts) {
+        dst[static_cast<std::size_t>(ev.layer)][static_cast<std::size_t>(e)] +=
+            1.0;
+      }
+    }
+    return m;
+  };
+  const auto received = build(events);
+  std::vector<Event> reversed(events.rbegin(), events.rend());
+  std::vector<Event> token_major = events;
+  std::stable_sort(token_major.begin(), token_major.end(),
+                   [](const Event& a, const Event& b) {
+                     return std::tie(a.pos, a.layer) < std::tie(b.pos, b.layer);
+                   });
+  std::vector<Event> layer_major = events;
+  std::stable_sort(layer_major.begin(), layer_major.end(),
+                   [](const Event& a, const Event& b) {
+                     return std::tie(a.layer, a.pos) < std::tie(b.layer, b.pos);
+                   });
+  EXPECT_NE(token_major[1].layer, events[1].layer);  // the orders differ
+  for (const auto* order : {&reversed, &token_major, &layer_major}) {
+    const auto m = build(*order);
+    EXPECT_EQ(m, received);
+    EXPECT_EQ(eval::matrix_similarity(m.first, m.second),
+              eval::matrix_similarity(received.first, received.second));
+  }
+  // calibrate_functional_counts over this one sequence is its decode matrix.
+  EXPECT_EQ(eval::calibrate_functional_counts(model_, data::gsm8k(), 1,
+                                              prompt_len, gen_len, seed),
+            received.second);
 }
 
 // NOTE: predicted[l] is filled at layer l-1 of the SAME position loop before

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/check.hpp"
 #include "model/config.hpp"
@@ -112,7 +114,7 @@ TEST_F(FunctionalModelTest, GateBiasChangesRouting) {
     std::vector<float> x(static_cast<std::size_t>(cfg.d_model));
     model_.embed(3, x);
     const auto d = model_.official_block(0, x, kv, 0, nullptr);
-    plain_first_expert = d.experts[0];
+    plain_first_expert = d.front().experts[0];
   }
   {
     KvCache kv(cfg, 2);
@@ -123,7 +125,7 @@ TEST_F(FunctionalModelTest, GateBiasChangesRouting) {
       logits[static_cast<std::size_t>(forced)] += 100.0F;
     };
     const auto d = model_.official_block(0, x, kv, 0, bias);
-    biased_first_expert = d.experts[0];
+    biased_first_expert = d.front().experts[0];
     EXPECT_EQ(biased_first_expert, forced);
   }
 }
@@ -137,7 +139,7 @@ TEST_F(FunctionalModelTest, OfficialBlockReportsGateLogits) {
   const auto d = model_.official_block(0, x, kv, 0, nullptr, &logits);
   ASSERT_EQ(static_cast<int>(logits.size()), cfg.n_experts);
   const TopK top = topk_indices(logits, cfg.top_k);
-  EXPECT_EQ(std::vector<int>(top.begin(), top.end()), d.experts);
+  EXPECT_EQ(std::vector<int>(top.begin(), top.end()), d.front().experts);
 }
 
 TEST_F(FunctionalModelTest, GenerateProducesRequestedCount) {
@@ -217,10 +219,133 @@ TEST_F(FunctionalModelTest, TopKGreaterThanOneUsed) {
   KvCache kv(cfg, 2);
   std::vector<float> x(static_cast<std::size_t>(cfg.d_model));
   model_.embed(9, x);
-  const auto d = model_.official_block(0, x, kv, 0, nullptr);
+  const auto d = model_.official_block(0, x, kv, 0, nullptr).front();
   ASSERT_EQ(d.weights.size(), 2U);
   EXPECT_GT(d.weights[1], 0.0F);
   EXPECT_LT(d.weights[0], 1.0F);
+}
+
+std::vector<std::uint32_t> bits_of(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+TEST_F(FunctionalModelTest, SpanBlockMatchesSpanOfOneCallsBitForBit) {
+  // Seven positions through every layer: layer-major as one span, and
+  // token-major as seven spans of one row. Residuals, gate logits, routes
+  // and the cache must agree bit for bit.
+  const auto& cfg = model_.config();
+  const auto D = static_cast<std::size_t>(cfg.d_model);
+  const std::vector<int> tokens = {5, 9, 11, 200, 3, 3, 77};
+  const int n = static_cast<int>(tokens.size());
+  const GateBias bias = [](int layer, int pos, std::span<float> logits) {
+    logits[static_cast<std::size_t>((layer + pos) % 8)] += 0.5F;
+  };
+
+  KvCache span_kv(cfg, n);
+  std::vector<float> span_x(static_cast<std::size_t>(n) * D);
+  for (int t = 0; t < n; ++t) {
+    model_.embed(tokens[static_cast<std::size_t>(t)],
+                 std::span<float>(span_x).subspan(t * D, D));
+  }
+  std::vector<std::vector<float>> span_logits;
+  std::vector<std::vector<RouteDecision>> span_routes;
+  for (int l = 0; l < cfg.n_layers; ++l) {
+    std::vector<float> logits;
+    span_routes.push_back(
+        model_.official_block(l, span_x, span_kv, 0, bias, &logits));
+    span_logits.push_back(logits);
+  }
+  span_kv.advance(n);
+
+  KvCache step_kv(cfg, n);
+  for (int t = 0; t < n; ++t) {
+    std::vector<float> x(D);
+    model_.embed(tokens[static_cast<std::size_t>(t)], x);
+    for (int l = 0; l < cfg.n_layers; ++l) {
+      std::vector<float> logits;
+      const auto d = model_.official_block(l, x, step_kv, t, bias, &logits);
+      const auto E = static_cast<std::size_t>(cfg.n_experts);
+      EXPECT_EQ(bits_of(logits),
+                bits_of(std::span<const float>(
+                    span_logits[static_cast<std::size_t>(l)]).subspan(t * E, E)))
+          << "layer " << l << " pos " << t;
+      const RouteDecision& want =
+          span_routes[static_cast<std::size_t>(l)][static_cast<std::size_t>(t)];
+      EXPECT_EQ(d.front().experts, want.experts);
+      EXPECT_EQ(bits_of(d.front().weights), bits_of(want.weights));
+    }
+    step_kv.advance();
+    EXPECT_EQ(bits_of(x),
+              bits_of(std::span<const float>(span_x).subspan(t * D, D)))
+        << "pos " << t;
+  }
+  for (int l = 0; l < cfg.n_layers; ++l) {
+    EXPECT_EQ(bits_of(step_kv.k_rows(l, n)), bits_of(span_kv.k_rows(l, n)));
+    EXPECT_EQ(bits_of(step_kv.v_rows(l, n)), bits_of(span_kv.v_rows(l, n)));
+  }
+}
+
+TEST_F(FunctionalModelTest, RunExpertsMatchesPerRowExpertForward) {
+  const auto& cfg = model_.config();
+  const auto D = static_cast<std::size_t>(cfg.d_model);
+  const int rows = 5;
+  std::vector<float> h(static_cast<std::size_t>(rows) * D);
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    h[i] = std::sin(0.37F * static_cast<float>(i));
+  }
+  // Experts out of order, one row twice, one expert on three rows.
+  const std::vector<ExpertJob> jobs = {
+      {6, 0, 3}, {1, 4, 0}, {6, 2, 1}, {6, 4, 5}, {0, 0, 2}, {1, 3, 4}};
+  std::vector<float> out(jobs.size() * D, -1.0F);
+  model_.run_experts(2, h, jobs, out);
+  for (const ExpertJob& j : jobs) {
+    std::vector<float> want(D);
+    model_.expert_forward(
+        2, j.expert, std::span<const float>(h).subspan(j.row * D, D), want);
+    EXPECT_EQ(bits_of(want),
+              bits_of(std::span<const float>(out).subspan(j.slot * D, D)))
+        << "expert " << j.expert << " row " << j.row;
+  }
+  const std::vector<ExpertJob> bad_row = {{0, rows, 0}};
+  EXPECT_THROW(model_.run_experts(2, h, bad_row, out), CheckError);
+  const std::vector<ExpertJob> bad_expert = {{cfg.n_experts, 0, 0}};
+  EXPECT_THROW(model_.run_experts(2, h, bad_expert, out), CheckError);
+}
+
+TEST_F(FunctionalModelTest, PrefillStateContinuesLikeOneCall) {
+  const OfficialDecoder dec(model_);
+  const std::vector<int> prompt = {4, 8, 15, 16, 23, 42};
+  const GateBias bias = [](int layer, int pos, std::span<float> logits) {
+    logits[static_cast<std::size_t>((3 * layer + pos) % 8)] += 1.0F;
+  };
+  const PrefillState state = dec.prefill(prompt, 9, bias);
+  EXPECT_EQ(state.prompt_len(), 6);
+  EXPECT_EQ(state.kv.max_seq(), 6 + 9);
+  const auto whole = dec.generate(prompt, 9, bias);
+  EXPECT_EQ(dec.generate(state, 9, bias), whole);
+  EXPECT_EQ(dec.generate(state, 9, bias), whole);  // state left untouched
+  EXPECT_EQ(whole.front(), state.first_token);
+  EXPECT_EQ(dec.generate(state, 4, bias),
+            std::vector<int>(whole.begin(), whole.begin() + 4));
+  EXPECT_THROW(dec.generate(state, 11, bias), CheckError);  // no room
+
+  // The prefill's counts are the prompt's routing events, counted.
+  std::vector<std::vector<double>> counted(
+      static_cast<std::size_t>(model_.config().n_layers),
+      std::vector<double>(static_cast<std::size_t>(model_.config().n_experts)));
+  const RouteObserver obs = [&](int layer, int, bool is_prefill,
+                                std::span<const float>,
+                                const RouteDecision& d) {
+    if (!is_prefill) return;
+    for (int e : d.experts) {
+      counted[static_cast<std::size_t>(layer)][static_cast<std::size_t>(e)] +=
+          1.0;
+    }
+  };
+  EXPECT_EQ(dec.prefill(prompt, 0, bias, obs).counts, counted);
+  EXPECT_EQ(state.counts, counted);
 }
 
 TEST(FunctionalModel, RejectsTopKAboveInlineCapacity) {

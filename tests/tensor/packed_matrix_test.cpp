@@ -1,6 +1,7 @@
-// PackedMatrix layout and the packed GEMV kernel. The kernel's contract is
-// bit-identity with the scalar row loop kept below as the oracle, so every
-// comparison here is a memcmp, not a tolerance.
+// PackedMatrix layout and the packed GEMV/multi-row kernel. The kernel's
+// contract is bit-identity with the scalar row loop kept below as the
+// oracle, whatever the number of input rows, so every comparison here is a
+// memcmp, not a tolerance.
 #include "tensor/packed_matrix.hpp"
 
 #include <gtest/gtest.h>
@@ -109,6 +110,46 @@ TEST(PackedMatvec, MatchesScalarOracleBitForBit) {
   EXPECT_EQ(cases, 8 * 4 * 3);
 }
 
+TEST(PackedMatmul, MultiRowMatchesMatvecBitForBit) {
+  Rng rng(2025);
+  int cases = 0;
+  for (const int rows : {1, 8, 15, 16, 17, 33, 256}) {
+    for (const int cols : {1, 3, 64, 128}) {
+      for (const int n : {1, 2, 3, 5, 24}) {
+        for (const Fill fill : {Fill::ZerosAndSubnormals, Fill::Specials}) {
+          const auto size = static_cast<std::size_t>(rows) * cols;
+          const std::vector<float> wv = sample(size, rng, fill, 37);
+          // NaN, +-inf, -0.0 and subnormals land in every input row.
+          const std::vector<float> x =
+              sample(static_cast<std::size_t>(n) * cols, rng, fill, 5);
+          Tensor w(rows, cols);
+          std::memcpy(w.data(), wv.data(), size * sizeof(float));
+          const PackedMatrix packed = PackedMatrix::pack(w);
+
+          std::vector<float> y(static_cast<std::size_t>(n) * rows, -1.0F);
+          matmul(packed, x, n, y);
+          for (int t = 0; t < n; ++t) {
+            const auto cs = static_cast<std::size_t>(cols);
+            const auto rs = static_cast<std::size_t>(rows);
+            const std::vector<float> xt(x.begin() + t * cs,
+                                        x.begin() + (t + 1) * cs);
+            std::vector<float> one(rs, -2.0F);
+            matvec(packed, xt, one);
+            const std::vector<float> yt(y.begin() + t * rs,
+                                        y.begin() + (t + 1) * rs);
+            EXPECT_TRUE(same_bits(yt, one))
+                << rows << "x" << cols << " n " << n << " row " << t;
+            EXPECT_TRUE(same_bits(yt, oracle_matvec(w, xt)))
+                << rows << "x" << cols << " n " << n << " row " << t;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 7 * 4 * 5 * 2);
+}
+
 TEST(PackedMatvec, KnownAnswerRulesOutFusedMultiplyAdd) {
   // Row: [-(1 + 2^-11), 1 + 2^-12, 2^-20] against x = [1, 1 + 2^-12, 1].
   // Separately rounded: (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24 rounds to
@@ -188,6 +229,12 @@ TEST(PackedMatrix, ShapeChecks) {
   EXPECT_NO_THROW(matvec(p, x, y));
   EXPECT_THROW(matvec(p, bad, y), CheckError);
   EXPECT_THROW(matvec(p, x, bad), CheckError);
+  std::vector<float> x2(6);
+  std::vector<float> y2(8);
+  EXPECT_NO_THROW(matmul(p, x2, 2, y2));
+  EXPECT_THROW(matmul(p, x2, 3, y2), CheckError);
+  EXPECT_THROW(matmul(p, x2, 2, y), CheckError);
+  EXPECT_THROW(matmul(p, {}, 0, {}), CheckError);
   EXPECT_THROW(p.at(4, 0), CheckError);
   EXPECT_THROW(PackedMatrix::pack(Tensor(3)), CheckError);
 }
