@@ -672,7 +672,7 @@ int cmd_serve(const FlagParser& flags) {
         r.counters.migration_retries, r.counters.migration_aborts,
         r.counters.stale_precalcs);
   }
-  if (opt.overload.enabled()) {
+  if (opt.overload_on()) {
     std::printf(
         "admission: %s   shed: %d (queue_full %lld, deadline %lld, "
         "degraded %lld)   preemptions: %lld\n",

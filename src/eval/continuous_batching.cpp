@@ -158,18 +158,22 @@ ContinuousBatchingScheduler::run() {
   const OverloadOptions& ov = options_.overload;
   const std::size_t total = pending_.size() + outcomes_.size();
   obs::SpanTracer* const tracer = options_.tracer;
+  // A per-request first-token budget turns the plane on as much as any
+  // OverloadOptions field does.
+  const bool plane_on =
+      ov.enabled() ||
+      std::any_of(pending_.begin(), pending_.end(),
+                  [](const Pending& p) { return p.request.deadline_s > 0.0; });
   // The "Overload" track exists only while the plane is on, so default
   // option traces stay byte-identical to the pre-overload goldens.
   const std::uint32_t ov_track =
-      tracer != nullptr && ov.enabled() ? tracer->track("Overload") : 0;
+      tracer != nullptr && plane_on ? tracer->track("Overload") : 0;
   TsHook ts(options_.tseries, options_.tseries_channel);
   std::size_t degrade_events_seen = 0;
   const DegradationController& degrade = loop_.degrade();
 
-  // Deadlines belong to the overload plane: with it off, a per-request
-  // budget neither sheds nor orders anything.
+  // A request's own budget, else the option-wide one (0 = no deadline).
   const auto budget_of = [&](const Pending& p) {
-    if (!ov.enabled()) return 0.0;
     return p.request.deadline_s > 0.0 ? p.request.deadline_s : ov.deadline_s;
   };
   // Absolute first-token deadline, anchored on the ORIGINAL arrival so

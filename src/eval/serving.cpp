@@ -132,7 +132,7 @@ ServingResult run_serving_eval(EngineKind kind,
   DAOP_CHECK_GE(options.slo_latency_s, 0.0);
   DAOP_CHECK_GE(options.max_concurrent, 1);
   options.overload.validate();
-  DAOP_CHECK_MSG(!options.overload.enabled() || options.max_concurrent >= 2,
+  DAOP_CHECK_MSG(!options.overload_on() || options.max_concurrent >= 2,
                  "the overload plane layers on the continuous-batching "
                  "scheduler; it needs max_concurrent >= 2");
   options.cache.validate();
@@ -428,7 +428,7 @@ ServingResult run_serving_eval(EngineKind kind,
     // Overload-plane families only exist when the plane is on, so the
     // default-option metrics text stays bit-identical to the pre-overload
     // harness (tests/golden/serving_runs.golden hashes it).
-    if (options.overload.enabled()) {
+    if (options.overload_on()) {
       const auto shed_counter = [&](const char* reason, long long n) {
         reg.counter("daop_requests_shed_total",
                     "Requests rejected by admission control, by reason.",

@@ -107,6 +107,12 @@ struct ServingOptions {
   /// resolve and finalized at the run makespan. Strictly passive like the
   /// other sinks.
   obs::TimeSeriesRecorder* tseries = nullptr;
+
+  /// True when admission control acts: an OverloadOptions field is set, or
+  /// the priority class carries its own first-token budget.
+  bool overload_on() const {
+    return overload.enabled() || priority_every > 0;
+  }
 };
 
 struct ServingResult {

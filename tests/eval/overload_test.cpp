@@ -409,6 +409,30 @@ TEST(Overload, DeadlineEdfSheddingBeatsFifoAtTwiceSaturation) {
       << fifo_r.slo_violation_rate;
 }
 
+// A per-request first-token budget is an overload-plane input on its own:
+// with every OverloadOptions field at its default, the priority class must
+// still be shed when its deadline cannot be met.
+TEST(Overload, PerRequestDeadlinesActWithoutOverloadOptions) {
+  auto opt = cb_options();
+  opt.arrival_rate_rps = 50.0;  // a burst: most requests wait for a slot
+  opt.max_concurrent = 2;
+  opt.priority_every = 2;
+  opt.priority_deadline_s = 0.05;
+  ASSERT_FALSE(opt.overload.enabled());
+  EXPECT_TRUE(opt.overload_on());
+  const auto r = run(EngineKind::Daop, opt);
+  EXPECT_EQ(r.served + r.dropped + r.shed, opt.n_requests);
+  EXPECT_GT(r.shed_deadline, 0) << "the priority class was never shed";
+  EXPECT_EQ(r.shed, r.shed_deadline);
+  // Only priority requests (odd ids) carry a budget, so only they shed.
+  for (const auto& e : r.request_log) {
+    if (e.outcome == "shed:deadline") EXPECT_EQ(e.id % 2, 1) << e.id;
+  }
+  // The plane needs the continuous-batching scheduler, as the options do.
+  opt.max_concurrent = 1;
+  EXPECT_THROW(run(EngineKind::Daop, opt), CheckError);
+}
+
 // ---------------------------------------------------------------------------
 // Preemption (direct scheduler harness)
 
