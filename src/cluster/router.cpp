@@ -134,17 +134,7 @@ void ClusterRouter::enqueue(Request request) {
 }
 
 double ClusterRouter::projected_start(const Node& n, double t) const {
-  const std::size_t slot = n.loop.earliest_free_slot();
-  if (slot != Loop::kNone) return std::max(t, n.loop.slot_time(slot));
-  // Every slot is busy: approximate the next slot release as the earliest
-  // in-flight frontier plus one service estimate. A node with neither slots
-  // nor sessions (a crashed one) looks idle — the router has no oracle.
-  double frontier = kInf;
-  for (const Loop::Active& a : n.loop.active()) {
-    frontier = std::min(frontier, a.session->ready_time());
-  }
-  if (frontier == kInf) return t;
-  return std::max(t, frontier) + options_.service_estimate_s;
+  return n.loop.projected_start(t, options_.service_estimate_s);
 }
 
 double ClusterRouter::projected_ttft(const Node& n, double t,

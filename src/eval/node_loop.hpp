@@ -89,6 +89,21 @@ class NodeLoop {
            static_cast<int>(active_.size()) < effective_concurrency();
   }
 
+  /// When a session dispatched at `t` could start here: the earliest free
+  /// slot while slot_ok() lets a session take it; otherwise (every slot
+  /// taken, or the ladder's concurrency cap) the earliest in-flight
+  /// frontier plus one `service_estimate_s`, the next release. A node with
+  /// neither slots nor sessions (a crashed one) looks idle: `t`.
+  double projected_start(double t, double service_estimate_s) const {
+    if (slot_ok()) return std::max(t, slot_time(earliest_free_slot()));
+    if (active_.empty()) return t;
+    double frontier = active_.front().session->ready_time();
+    for (const Active& a : active_) {
+      frontier = std::min(frontier, a.session->ready_time());
+    }
+    return std::max(t, frontier) + service_estimate_s;
+  }
+
   /// The least-advanced active session (ties go to the earliest admitted:
   /// sessions are kept in admission order and the first strict minimum
   /// wins), or kNone when nothing is active.

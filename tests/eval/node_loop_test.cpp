@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "../testing/helpers.hpp"
@@ -178,6 +179,34 @@ TEST(NodeLoop, ShedVerdictAndConcurrencyFollowTheLadder) {
   EXPECT_TRUE(env.shared);
   EXPECT_EQ(env.start_time, 3.0);
   EXPECT_EQ(env.request_id, 5);
+}
+
+TEST_F(NodeLoopTest, ProjectedStartWaitsOutTheConcurrencyCap) {
+  DegradationOptions d;
+  d.enabled = true;
+  d.window_s = 2.0;
+  d.min_dwell_s = 0.5;
+  Loop loop(4, d);
+  EXPECT_EQ(loop.projected_start(1.0, 0.25), 1.0) << "an idle node";
+  admit(loop, 0, 0.0);
+  admit(loop, 1, 0.0);
+  ASSERT_TRUE(loop.slot_ok());
+  EXPECT_EQ(loop.projected_start(0.0, 0.25),
+            loop.slot_time(loop.earliest_free_slot()));
+
+  // At L3+ the cap (2 of 4) refuses the two free slots: the projection is
+  // the next release, not a free slot.
+  for (int i = 1; i <= 20; ++i) loop.observe(0.5 * i, 0.5 * i);
+  ASSERT_EQ(loop.effective_concurrency(), 2);
+  ASSERT_EQ(loop.free_slots(), 2u);
+  ASSERT_FALSE(loop.slot_ok());
+  const double frontier =
+      std::min(loop.active()[0].session->ready_time(),
+               loop.active()[1].session->ready_time());
+  EXPECT_EQ(loop.projected_start(0.0, 0.25), frontier + 0.25);
+  EXPECT_EQ(loop.projected_start(frontier + 1.0, 0.25), frontier + 1.25);
+  loop.crash();
+  EXPECT_EQ(loop.projected_start(7.0, 0.25), 7.0) << "a dead node";
 }
 
 TEST(NodeLoop, RejectsAnEmptyNode) {
