@@ -161,8 +161,9 @@ class SpanDecoder {
   /// What one selected expert slot of a row executes.
   struct Exec {
     int expert = 0;  ///< id used for gate weighting
-    int slot = -1;   ///< output slot in exec_out_, or -1 when pre-calculated
-    int precalc = -1;  ///< slot in cur_.outputs when pre-calculated
+    int slot = 0;    ///< its output: in cur_.outputs when pre-calculated,
+                     ///< else in exec_out_
+    bool precalculated = false;
   };
 
   const model::FunctionalModel& model_;
@@ -201,7 +202,7 @@ void SpanDecoder::decide(int layer, int t, std::span<const float> logits) {
   // Runs expert e on this row's exact input; on the CPU it is quantized
   // under the cpu_quant_bits extension.
   const auto run = [&](int e, bool on_cpu) {
-    execs[n++] = {e, jobs_.add(e, t, on_cpu && quantized_ != nullptr), -1};
+    execs[n++] = {e, jobs_.add(e, t, on_cpu && quantized_ != nullptr), false};
   };
   const auto row = static_cast<std::size_t>(t) * cfg_.n_experts;
   std::vector<int> used = sel.experts;
@@ -218,7 +219,7 @@ void SpanDecoder::decide(int layer, int t, std::span<const float> logits) {
       run(e, !placement_.on_gpu(layer, e));
     } else if (cur_.precalc[ei] >= 0) {
       ++stats.stale_input_execs;
-      execs[n++] = {e, -1, cur_.precalc[ei]};
+      execs[n++] = {e, cur_.precalc[ei], true};
     } else if (cur_.substitute[ei] >= 0) {
       ++stats.degradations;
       used.push_back(cur_.substitute[ei]);
@@ -244,9 +245,10 @@ void SpanDecoder::decide(int layer, int t, std::span<const float> logits) {
   // Renormalize gate weights over the experts actually executed.
   int ids[kMaxTopK];
   for (int i = 0; i < n; ++i) ids[i] = execs[i].expert;
-  softmax_subset(logits, std::span<const int>(ids, static_cast<std::size_t>(n)),
+  const auto count = static_cast<std::size_t>(n);
+  softmax_subset(logits, std::span<const int>(ids, count),
                  std::span<float>(weights_).subspan(
-                     static_cast<std::size_t>(t) * K, static_cast<std::size_t>(n)));
+                     static_cast<std::size_t>(t) * K, count));
 }
 
 void SpanDecoder::plan(int nl, int t, std::span<const float> pred_logits) {
@@ -321,10 +323,9 @@ void SpanDecoder::step(std::span<const int> tokens, std::vector<int>& out) {
         const std::size_t k = t * K + static_cast<std::size_t>(i);
         const Exec& ex = execs_[k];
         const std::vector<float>& src =
-            ex.slot >= 0 ? exec_out_ : cur_.outputs;
-        const int slot = ex.slot >= 0 ? ex.slot : ex.precalc;
+            ex.precalculated ? cur_.outputs : exec_out_;
         axpy_inplace(xt, weights_[k],
-                     std::span<const float>(src).subspan(slot * D, D));
+                     std::span<const float>(src).subspan(ex.slot * D, D));
       }
     }
 
@@ -346,12 +347,12 @@ void SpanDecoder::step(std::span<const int> tokens, std::vector<int>& out) {
   }
   kv_.advance(n);
 
-  vocab_logits_.resize(rows * static_cast<std::size_t>(cfg_.vocab_size));
+  const auto V = static_cast<std::size_t>(cfg_.vocab_size);
+  vocab_logits_.resize(rows * V);
   model_.lm_logits(x_, vocab_logits_);
   for (int t = 0; t < n; ++t) {
-    out.push_back(argmax(std::span<const float>(vocab_logits_)
-                             .subspan(t * static_cast<std::size_t>(cfg_.vocab_size),
-                                      static_cast<std::size_t>(cfg_.vocab_size))));
+    out.push_back(
+        argmax(std::span<const float>(vocab_logits_).subspan(t * V, V)));
   }
 }
 

@@ -162,7 +162,8 @@ void FunctionalModel::run_experts(int layer, std::span<const float> h,
   for (const ExpertJob& j : jobs) {
     DAOP_CHECK(j.expert >= 0 && j.expert < cfg_.n_experts);
     DAOP_CHECK(j.row >= 0 && j.row < rows);
-    DAOP_CHECK(j.slot >= 0 && static_cast<std::size_t>(j.slot) < out.size() / D);
+    DAOP_CHECK(j.slot >= 0 &&
+               static_cast<std::size_t>(j.slot) < out.size() / D);
   }
   std::vector<float> in;
   std::vector<float> res;
@@ -228,8 +229,9 @@ std::vector<RouteDecision> FunctionalModel::official_block(
   std::vector<float> out(jobs.size() * D);
   run_experts(layer, h, jobs, out);
   for (int t = 0; t < n; ++t) {
+    const RouteDecision& dt = d[static_cast<std::size_t>(t)];
     for (std::size_t i = 0; i < K; ++i) {
-      axpy_inplace(x.subspan(t * D, D), d[static_cast<std::size_t>(t)].weights[i],
+      axpy_inplace(x.subspan(t * D, D), dt.weights[i],
                    std::span<const float>(out).subspan((t * K + i) * D, D));
     }
   }

@@ -22,43 +22,38 @@ Vec4 load4(const float* p) {
   return v;
 }
 
-// The scalar chains of R input rows (starting at row t of x) against P
-// consecutive panels (starting at panel p): R * P * 4 independent Vec4
-// accumulators, each weight vector loaded once for all R rows. Every
-// chain starts at 0.0f and adds W[r][c] * x[c] for c ascending.
-template <int R, int P>
+// The scalar chains of R input rows (starting at row t of x) against panel
+// p: R * 4 independent Vec4 accumulators, each weight vector loaded once
+// for all R rows. Every chain starts at 0.0f and adds W[r][c] * x[c] for c
+// ascending.
+template <int R>
 void panel_block(const PackedMatrix& w, std::int64_t p, const float* x,
                  int t, float* y) {
   constexpr std::int64_t kRows = PackedMatrix::kPanelRows;
   const std::int64_t rows = w.rows();
   const std::int64_t cols = w.cols();
-  const float* wp[P];
-  for (int i = 0; i < P; ++i) wp[i] = w.panel(p + i);
+  const float* wp = w.panel(p);
   const float* xr[R];
   for (int r = 0; r < R; ++r) xr[r] = x + (t + r) * cols;
-  Vec4 acc[R][P][4] = {};
-  for (std::int64_t c = 0; c < cols; ++c) {
+  Vec4 acc[R][4] = {};
+  for (std::int64_t c = 0; c < cols; ++c, wp += kRows) {
     Vec4 u[R];
     for (int r = 0; r < R; ++r) {
       const float v = xr[r][c];
       u[r] = Vec4{v, v, v, v};
     }
-    for (int i = 0; i < P; ++i) {
-      for (int j = 0; j < 4; ++j) {
-        const Vec4 wv = load4(wp[i] + c * kRows + 4 * j);
-        for (int r = 0; r < R; ++r) acc[r][i][j] += wv * u[r];
-      }
+    for (int j = 0; j < 4; ++j) {
+      const Vec4 wv = load4(wp + 4 * j);
+      for (int r = 0; r < R; ++r) acc[r][j] += wv * u[r];
     }
   }
+  const std::int64_t r0 = p * kRows;
   for (int r = 0; r < R; ++r) {
-    for (int i = 0; i < P; ++i) {
-      const std::int64_t r0 = (p + i) * kRows;
-      float lanes[kRows];
-      std::memcpy(lanes, acc[r][i], sizeof(lanes));
-      // The zero-padded rows past the matrix's end are dropped.
-      std::copy(lanes, lanes + std::min(kRows, rows - r0),
-                y + (t + r) * rows + r0);
-    }
+    float lanes[kRows];
+    std::memcpy(lanes, acc[r], sizeof(lanes));
+    // The zero-padded rows past the matrix's end are dropped.
+    std::copy(lanes, lanes + std::min(kRows, rows - r0),
+              y + (t + r) * rows + r0);
   }
 }
 
@@ -70,17 +65,12 @@ void matmul(const PackedMatrix& w, std::span<const float> x, int n,
   DAOP_CHECK_EQ(static_cast<std::int64_t>(x.size()), n * w.cols());
   DAOP_CHECK_EQ(static_cast<std::int64_t>(y.size()), n * w.rows());
   static_assert(PackedMatrix::kPanelRows == 16, "four Vec4 lanes per panel");
-  const std::int64_t panels = w.panels();
-  // Two input rows per pass over a panel: eight chains, one weight load.
-  for (std::int64_t p = 0; p < panels; ++p) {
-    for (int t = 0; t + 2 <= n; t += 2) {
-      panel_block<2, 1>(w, p, x.data(), t, y.data());
-    }
-  }
-  if (n % 2 == 1) {
-    for (std::int64_t p = 0; p < panels; ++p) {
-      panel_block<1, 1>(w, p, x.data(), n - 1, y.data());
-    }
+  for (std::int64_t p = 0; p < w.panels(); ++p) {
+    // Two input rows per pass over the panel: eight chains, one weight
+    // load; an odd last row (a decode step's only row) goes alone.
+    int t = 0;
+    for (; t + 2 <= n; t += 2) panel_block<2>(w, p, x.data(), t, y.data());
+    if (t < n) panel_block<1>(w, p, x.data(), t, y.data());
   }
 }
 
@@ -252,13 +242,6 @@ void rope_apply(std::span<float> x, int n_heads, int head_dim,
       base[i + 1] = x0 * s + x1 * c;
     }
   }
-}
-
-void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
-                  float theta) {
-  std::vector<float> cs(static_cast<std::size_t>(head_dim));
-  rope_rotation(head_dim, pos, theta, cs);
-  rope_apply(x, n_heads, head_dim, cs);
 }
 
 TopK topk_indices(std::span<const float> x, int k) {

@@ -76,17 +76,14 @@ void silu_inplace(std::span<float> x);
 
 // ---- Rotary position embedding ---------------------------------------------
 
-/// Applies RoPE in-place to a [n_heads * head_dim] vector at position `pos`.
-/// Pairs are (2i, 2i+1) within each head, standard LLaMA/Mixtral convention.
-void rope_inplace(std::span<float> x, int n_heads, int head_dim, int pos,
-                  float theta);
-
-/// The rotation rope_inplace applies at `pos`: for each pair (2i, 2i+1) of
-/// a head, cs[2i] = cos and cs[2i+1] = sin of its angle (head_dim floats).
-/// Every head, and the queries and keys of one position, share it.
+/// The RoPE rotation at position `pos`: for each pair (2i, 2i+1) of a head
+/// (standard LLaMA/Mixtral convention), cs[2i] = cos and cs[2i+1] = sin of
+/// its angle pos * theta^(-2i / head_dim); head_dim floats. Every head, and
+/// the queries and keys of one position, share it.
 void rope_rotation(int head_dim, int pos, float theta, std::span<float> cs);
 
-/// Rotates every head of x by a rope_rotation table.
+/// Rotates every head of a [n_heads * head_dim] vector in place by a
+/// rope_rotation table.
 void rope_apply(std::span<float> x, int n_heads, int head_dim,
                 std::span<const float> cs);
 

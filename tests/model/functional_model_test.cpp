@@ -267,9 +267,9 @@ TEST_F(FunctionalModelTest, SpanBlockMatchesSpanOfOneCallsBitForBit) {
       std::vector<float> logits;
       const auto d = model_.official_block(l, x, step_kv, t, bias, &logits);
       const auto E = static_cast<std::size_t>(cfg.n_experts);
-      EXPECT_EQ(bits_of(logits),
-                bits_of(std::span<const float>(
-                    span_logits[static_cast<std::size_t>(l)]).subspan(t * E, E)))
+      const std::span<const float> layer_logits =
+          span_logits[static_cast<std::size_t>(l)];
+      EXPECT_EQ(bits_of(logits), bits_of(layer_logits.subspan(t * E, E)))
           << "layer " << l << " pos " << t;
       const RouteDecision& want =
           span_routes[static_cast<std::size_t>(l)][static_cast<std::size_t>(t)];

@@ -139,6 +139,12 @@ TEST(Ops, SiluKnownValues) {
   EXPECT_NEAR(silu(-10.0F), 0.0F, 1e-3F);   // approximately zero
 }
 
+void rope(std::vector<float>& x, int n_heads, int head_dim, int pos) {
+  std::vector<float> cs(static_cast<std::size_t>(head_dim));
+  rope_rotation(head_dim, pos, 1e4F, cs);
+  rope_apply(x, n_heads, head_dim, cs);
+}
+
 TEST(Ops, RopePreservesNormAndIsPositionDependent) {
   Rng rng(4);
   std::vector<float> x(32);
@@ -146,11 +152,11 @@ TEST(Ops, RopePreservesNormAndIsPositionDependent) {
   const std::vector<float> orig = x;
 
   std::vector<float> x0 = orig;
-  rope_inplace(x0, 2, 16, 0, 1e4F);
+  rope(x0, 2, 16, 0);
   EXPECT_EQ(x0, orig);  // position 0 is identity
 
   std::vector<float> x5 = orig;
-  rope_inplace(x5, 2, 16, 5, 1e4F);
+  rope(x5, 2, 16, 5);
   EXPECT_NE(x5, orig);
   EXPECT_NEAR(l2_norm(x5), l2_norm(std::span<const float>(orig)), 1e-4F);
 }
@@ -162,8 +168,8 @@ TEST(Ops, RopeRelativePhaseProperty) {
   auto dotted = [&](int m, int n) {
     std::vector<float> qm = q;
     std::vector<float> kn = k;
-    rope_inplace(qm, 1, 2, m, 1e4F);
-    rope_inplace(kn, 1, 2, n, 1e4F);
+    rope(qm, 1, 2, m);
+    rope(kn, 1, 2, n);
     return dot(qm, kn);
   };
   EXPECT_NEAR(dotted(3, 1), dotted(7, 5), 1e-5F);
