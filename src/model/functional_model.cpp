@@ -94,7 +94,7 @@ void FunctionalModel::attention_block(int layer, std::span<float> x,
       }
       softmax_inplace(seen);
       float* oh = attn_out.data() + t * qdim + head * hd;
-      for (int p = 0; p <= last; ++p) {
+      for (p = 0; p <= last; ++p) {
         const float* vh = values.data() + p * kvdim + kv_off;
         const float w = seen[static_cast<std::size_t>(p)];
         for (std::size_t d = 0; d < hd; ++d) oh[d] += w * vh[d];

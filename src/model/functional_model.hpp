@@ -65,8 +65,6 @@ struct PrefillState {
   /// counts[layer][expert]: prompt tokens routed to the expert (the input
   /// of Algorithm 1's sequence-specific allocation).
   std::vector<std::vector<double>> counts;
-
-  int prompt_len() const { return kv.size(); }
 };
 
 /// Every sub-block works on a span of rows: `x` holds n = x.size() /

@@ -321,7 +321,7 @@ TEST_F(FunctionalModelTest, PrefillStateContinuesLikeOneCall) {
     logits[static_cast<std::size_t>((3 * layer + pos) % 8)] += 1.0F;
   };
   const PrefillState state = dec.prefill(prompt, 9, bias);
-  EXPECT_EQ(state.prompt_len(), 6);
+  EXPECT_EQ(state.kv.size(), 6);
   EXPECT_EQ(state.kv.max_seq(), 6 + 9);
   const auto whole = dec.generate(prompt, 9, bias);
   EXPECT_EQ(dec.generate(state, 9, bias), whole);
