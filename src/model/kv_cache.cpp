@@ -34,7 +34,7 @@ std::span<float> KvCache::rows(std::vector<Tensor>& t, int layer, int pos,
 std::span<const float> KvCache::prefix(const std::vector<Tensor>& t,
                                        int layer, int end) const {
   DAOP_CHECK(layer >= 0 && layer < n_layers_);
-  DAOP_CHECK(end >= 0 && end <= std::max(size_, open_end_));
+  DAOP_CHECK(end >= 0 && end <= open_end_);
   return {t[static_cast<std::size_t>(layer)].data(),
           static_cast<std::size_t>(end) * kv_dim_};
 }

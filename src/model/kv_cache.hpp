@@ -46,7 +46,8 @@ class KvCache {
   int max_seq_ = 0;
   int n_layers_ = 0;
   int size_ = 0;
-  int open_end_ = 0;  ///< end of the span opened since the last advance()
+  int open_end_ = 0;  ///< size_, or the end of the span opened since
+                      ///< the last advance() when one is open
   std::vector<Tensor> k_;  // per layer: [max_seq, kv_dim]
   std::vector<Tensor> v_;
 };
