@@ -193,7 +193,7 @@ void SpanDecoder::decide(int layer, int t, std::span<const float> logits) {
   if (config_.skip_top1_margin > 0.0 && sel.experts.size() >= 2 &&
       sel.weights[0] >= config_.skip_top1_margin) {
     stats.skipped_experts += static_cast<long long>(sel.experts.size()) - 1;
-    sel.experts.resize(1);
+    sel.experts.erase(sel.experts.begin() + 1, sel.experts.end());
     sel.weights.assign(1, 1.0F);
   }
 
@@ -257,7 +257,7 @@ void SpanDecoder::plan(int nl, int t, std::span<const float> pred_logits) {
   // expert pre-calculated.
   if (config_.skip_top1_margin > 0.0 && pred.experts.size() >= 2 &&
       pred.weights[0] >= config_.skip_top1_margin) {
-    pred.experts.resize(1);
+    pred.experts.erase(pred.experts.begin() + 1, pred.experts.end());
   }
 
   std::vector<int> pred_cpu;
