@@ -41,10 +41,23 @@ struct FunctionalRunStats {
   FunctionalRunStats& operator+=(const FunctionalRunStats& o);
 };
 
-/// One prefill decoded free-running and teacher-forced.
+/// One prefill decoded free-running and teacher-forced, with the run
+/// counters of each decode.
 struct DecodePair {
   std::vector<int> free_run;
   std::vector<int> forced;
+  FunctionalRunStats free_stats;
+  FunctionalRunStats forced_stats;
+};
+
+/// One decode pair of a lockstep batch: the exact prefill it continues, its
+/// §IV-A placement and dataset conditioner, and the teacher (length >=
+/// n_gen) of its teacher-forced decode. The pointees must outlive the call.
+struct PairRequest {
+  const model::PrefillState* prefill = nullptr;
+  const cache::Placement* initial = nullptr;
+  const model::GateBias* bias = nullptr;
+  std::span<const int> teacher;
 };
 
 class DaopFunctionalExecutor {
@@ -74,11 +87,18 @@ class DaopFunctionalExecutor {
                             FunctionalRunStats* stats = nullptr,
                             std::span<const int> teacher = {}) const;
 
-  /// The free-running decode and the teacher-forced decode on `teacher`
-  /// of one prefill, equal to the two generate() calls field for field.
-  /// While the free-running tokens equal the teacher's, both decodes
-  /// consume the same tokens from the same state, so they share those
-  /// steps; the teacher-forced decode forks at the first difference.
+  /// The free-running decode and the teacher-forced decode on its teacher
+  /// of every request, each equal to the two generate() calls field for
+  /// field. The free-running decodes of all requests step in lockstep, one
+  /// span per layer with a row of each (rows of different sequences share
+  /// every projection, gate and expert run; attention stays per sequence).
+  /// While a request's free-running tokens equal its teacher's, both of its
+  /// decodes consume the same tokens from the same state, so they share
+  /// those steps; its teacher-forced decode forks at the first difference.
+  std::vector<DecodePair> generate_pairs(std::span<const PairRequest> requests,
+                                         int n_gen) const;
+
+  /// generate_pairs of one request; adds the counters to the stats given.
   DecodePair generate_pair(model::PrefillState prefill, int n_gen,
                            const cache::Placement& initial,
                            const model::GateBias& bias,

@@ -43,6 +43,26 @@ double rouge_n(std::span<const int> reference, std::span<const int> candidate,
   return 2.0 * precision * recall / (precision + recall);
 }
 
+namespace {
+
+/// The prompts and dataset conditioners of sequences [0, n) under `spec`.
+struct Sequences {
+  Sequences(const model::ModelConfig& cfg, const data::WorkloadSpec& spec,
+            int n, int prompt_len, int gen_len, std::uint64_t seed) {
+    for (int s = 0; s < n; ++s) {
+      prompts.push_back(data::make_prompt(cfg.vocab_size, prompt_len, seed, s));
+      biases.push_back(data::make_gate_bias(spec, cfg.n_layers, cfg.n_experts,
+                                            seed, s, prompt_len,
+                                            prompt_len + gen_len + 1));
+    }
+  }
+
+  std::vector<std::vector<int>> prompts;
+  std::vector<model::GateBias> biases;
+};
+
+}  // namespace
+
 std::vector<std::vector<double>> calibrate_functional_counts(
     const model::FunctionalModel& model, const data::WorkloadSpec& spec,
     int n_seqs, int prompt_len, int gen_len, std::uint64_t seed) {
@@ -52,23 +72,23 @@ std::vector<std::vector<double>> calibrate_functional_counts(
       static_cast<std::size_t>(cfg.n_layers),
       std::vector<double>(static_cast<std::size_t>(cfg.n_experts), 0.0));
 
+  const auto observer = [&](int layer, int /*pos*/, bool is_prefill,
+                            std::span<const float> /*logits*/,
+                            const model::RouteDecision& d) {
+    if (is_prefill) return;
+    for (int e : d.experts) {
+      counts[static_cast<std::size_t>(layer)][static_cast<std::size_t>(e)] +=
+          1.0;
+    }
+  };
+  const Sequences seqs(cfg, spec, n_seqs, prompt_len, gen_len, seed);
+  // Every sequence's prompt in one span, then its decode steps in lockstep.
+  const std::vector<model::RouteObserver> observers(
+      static_cast<std::size_t>(n_seqs), observer);
   const model::OfficialDecoder official(model);
-  for (int s = 0; s < n_seqs; ++s) {
-    const auto prompt = data::make_prompt(cfg.vocab_size, prompt_len, seed, s);
-    const auto bias =
-        data::make_gate_bias(spec, cfg.n_layers, cfg.n_experts, seed, s,
-                             prompt_len, prompt_len + gen_len + 1);
-    const auto observer = [&](int layer, int /*pos*/, bool is_prefill,
-                              std::span<const float> /*logits*/,
-                              const model::RouteDecision& d) {
-      if (is_prefill) return;
-      for (int e : d.experts) {
-        counts[static_cast<std::size_t>(layer)][static_cast<std::size_t>(e)] +=
-            1.0;
-      }
-    };
-    official.generate(prompt, gen_len, bias, observer);
-  }
+  official.generate_batch(
+      official.prefill_batch(seqs.prompts, gen_len, seqs.biases, observers),
+      gen_len, seqs.biases, observers);
   return counts;
 }
 
@@ -100,31 +120,41 @@ std::vector<AccuracyMetrics> evaluate_daop_accuracy(
   const model::OfficialDecoder official(model);
   const core::DaopFunctionalExecutor daop(model, config);
 
+  const std::size_t episodes = static_cast<std::size_t>(options.n_episodes);
+  const Sequences seqs(cfg, spec, options.n_episodes, options.prompt_len,
+                       options.gen_len, options.seed);
+  const std::vector<model::GateBias>& biases = seqs.biases;
+  // Prefill is exact under DAOP (§IV-B): the reference and every DAOP
+  // decode of an episode continue one prefill. The prompts run as one
+  // span, the reference decodes of all episodes in lockstep.
+  const std::vector<model::PrefillState> prefills =
+      official.prefill_batch(seqs.prompts, options.gen_len, biases);
+  const std::vector<std::vector<int>> refs =
+      official.generate_batch(prefills, options.gen_len, biases);
+
+  // Free-running generation (the paper's ExactMatch / ROUGE setting) and
+  // the teacher-forced pass on the reference: per-step agreement without
+  // compounding divergence (primary Table VI proxy). The free-running
+  // decodes of every (episode, ECR) pair step in lockstep.
+  std::vector<core::PairRequest> requests;
+  for (std::size_t s = 0; s < episodes; ++s) {
+    for (std::size_t e = 0; e < ecrs.size(); ++e) {
+      requests.push_back({&prefills[s], &initial[e], &biases[s], refs[s]});
+    }
+  }
+  const std::vector<core::DecodePair> runs =
+      daop.generate_pairs(requests, options.gen_len);
+
   std::vector<AccuracyMetrics> out(ecrs.size());
   std::vector<double> token_match(ecrs.size(), 0.0);
   double token_total = 0.0;
-  for (int s = 0; s < options.n_episodes; ++s) {
-    const auto prompt =
-        data::make_prompt(cfg.vocab_size, options.prompt_len, options.seed, s);
-    const auto bias = data::make_gate_bias(
-        spec, cfg.n_layers, cfg.n_experts, options.seed, s, options.prompt_len,
-        options.prompt_len + options.gen_len + 1);
-
-    // Prefill is exact under DAOP (§IV-B): the reference and every DAOP
-    // decode of this episode continue one prefill.
-    const model::PrefillState prefill =
-        official.prefill(prompt, options.gen_len, bias);
-    const std::vector<int> ref =
-        official.generate(prefill, options.gen_len, bias);
+  for (std::size_t s = 0; s < episodes; ++s) {
+    const std::vector<int>& ref = refs[s];
     token_total += static_cast<double>(ref.size());
-
     for (std::size_t e = 0; e < ecrs.size(); ++e) {
       AccuracyMetrics& m = out[e];
-      // Free-running generation (the paper's ExactMatch / ROUGE setting)
-      // and the teacher-forced pass on the reference: per-step agreement
-      // without compounding divergence (primary Table VI proxy).
-      const core::DecodePair run = daop.generate_pair(
-          prefill, options.gen_len, initial[e], bias, ref, &m.stats);
+      const core::DecodePair& run = runs[s * ecrs.size() + e];
+      m.stats += run.free_stats;
       const std::vector<int>& cand = run.free_run;
       const std::vector<int>& forced = run.forced;
 

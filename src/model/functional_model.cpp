@@ -1,5 +1,6 @@
 #include "model/functional_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -28,15 +29,24 @@ void FunctionalModel::embed(int token, std::span<float> x) const {
   std::copy(row.begin(), row.end(), x.begin());
 }
 
-void FunctionalModel::attention_block(int layer, std::span<float> x,
-                                      KvCache& kv, int pos) const {
+void FunctionalModel::attention_block(
+    int layer, std::span<float> x, std::span<const Segment> segments) const {
   DAOP_CHECK(layer >= 0 && layer < cfg_.n_layers);
   const int n = rows_of(x.size(), cfg_.d_model);
+  int total = 0;
+  int max_end = 0;
+  for (const Segment& seg : segments) {
+    DAOP_CHECK(seg.kv != nullptr);
+    DAOP_CHECK_GE(seg.rows, 1);
+    total += seg.rows;
+    max_end = std::max(max_end, seg.kv->size() + seg.rows);
+  }
+  DAOP_CHECK_EQ(total, n);
   const LayerWeights& lw = weights_.layers[static_cast<std::size_t>(layer)];
   const auto D = static_cast<std::size_t>(cfg_.d_model);
   const auto hd = static_cast<std::size_t>(cfg_.head_dim);
   const auto qdim = static_cast<std::size_t>(cfg_.n_heads) * hd;
-  const auto kvdim = static_cast<std::size_t>(kv.kv_dim());
+  const auto kvdim = static_cast<std::size_t>(cfg_.n_kv_heads) * hd;
   const int group = cfg_.n_heads / cfg_.n_kv_heads;
 
   std::vector<float> h(x.size());
@@ -46,65 +56,90 @@ void FunctionalModel::attention_block(int layer, std::span<float> x,
   }
 
   std::vector<float> q(static_cast<std::size_t>(n) * qdim);
+  std::vector<float> k(static_cast<std::size_t>(n) * kvdim);
+  std::vector<float> v(k.size());
   matmul(lw.wq, h, n, q);
-  const auto k = kv.k_span(layer, pos, n);
-  const auto v = kv.v_span(layer, pos, n);
   matmul(lw.wk, h, n, k);
   matmul(lw.wv, h, n, v);
-  std::vector<float> rotation(hd);
-  for (int t = 0; t < n; ++t) {
-    rope_rotation(cfg_.head_dim, pos + t, cfg_.rope_theta, rotation);
-    rope_apply(std::span<float>(q).subspan(t * qdim, qdim), cfg_.n_heads,
-               cfg_.head_dim, rotation);
-    rope_apply(k.subspan(t * kvdim, kvdim), cfg_.n_kv_heads, cfg_.head_dim,
-               rotation);
-  }
 
-  // Causal attention: row t sees positions [0, pos + t].
-  const auto keys = kv.k_rows(layer, pos + n);
-  const auto values = kv.v_rows(layer, pos + n);
   const float inv_sqrt_d = 1.0F / std::sqrt(static_cast<float>(cfg_.head_dim));
+  std::vector<float> rotation(hd);
   std::vector<float> attn_out(q.size(), 0.0F);
-  std::vector<float> scores(static_cast<std::size_t>(pos + n));
-  for (int t = 0; t < n; ++t) {
-    const int last = pos + t;
-    const auto seen = std::span<float>(scores).first(
-        static_cast<std::size_t>(last) + 1);
-    for (int head = 0; head < cfg_.n_heads; ++head) {
-      const std::size_t kv_off = static_cast<std::size_t>(head / group) * hd;
-      const float* qh = q.data() + t * qdim + head * hd;
-      // Four positions at a time: four independent dot-product chains,
-      // each summing d ascending.
-      int p = 0;
-      for (; p + 4 <= last + 1; p += 4) {
-        const float* kh = keys.data() + p * kvdim + kv_off;
-        float s[4] = {};
-        for (std::size_t d = 0; d < hd; ++d) {
-          for (std::size_t j = 0; j < 4; ++j) s[j] += qh[d] * kh[j * kvdim + d];
+  std::vector<float> scores(static_cast<std::size_t>(max_end));
+  int t0 = 0;  // the segment's first row in the span
+  for (const Segment& seg : segments) {
+    KvCache& kv = *seg.kv;
+    const int pos = kv.size();
+    const int rows = seg.rows;
+    const auto kv_rows = std::span<const float>(k).subspan(t0 * kvdim,
+                                                           rows * kvdim);
+    const auto seg_k = kv.k_span(layer, pos, rows);
+    std::copy(kv_rows.begin(), kv_rows.end(), seg_k.begin());
+    const auto v_rows = std::span<const float>(v).subspan(t0 * kvdim,
+                                                          rows * kvdim);
+    std::copy(v_rows.begin(), v_rows.end(),
+              kv.v_span(layer, pos, rows).begin());
+    for (int t = 0; t < rows; ++t) {
+      rope_rotation(cfg_.head_dim, pos + t, cfg_.rope_theta, rotation);
+      rope_apply(std::span<float>(q).subspan((t0 + t) * qdim, qdim),
+                 cfg_.n_heads, cfg_.head_dim, rotation);
+      rope_apply(seg_k.subspan(t * kvdim, kvdim), cfg_.n_kv_heads,
+                 cfg_.head_dim, rotation);
+    }
+
+    // Causal attention: row t sees positions [0, pos + t].
+    const auto keys = kv.k_rows(layer, pos + rows);
+    const auto values = kv.v_rows(layer, pos + rows);
+    for (int t = 0; t < rows; ++t) {
+      const int last = pos + t;
+      const auto seen = std::span<float>(scores).first(
+          static_cast<std::size_t>(last) + 1);
+      for (int head = 0; head < cfg_.n_heads; ++head) {
+        const std::size_t kv_off = static_cast<std::size_t>(head / group) * hd;
+        const float* qh = q.data() + (t0 + t) * qdim + head * hd;
+        // Four positions at a time: four independent dot-product chains,
+        // each summing d ascending.
+        int p = 0;
+        for (; p + 4 <= last + 1; p += 4) {
+          const float* kh = keys.data() + p * kvdim + kv_off;
+          float s[4] = {};
+          for (std::size_t d = 0; d < hd; ++d) {
+            for (std::size_t j = 0; j < 4; ++j) {
+              s[j] += qh[d] * kh[j * kvdim + d];
+            }
+          }
+          for (std::size_t j = 0; j < 4; ++j) {
+            seen[static_cast<std::size_t>(p) + j] = s[j] * inv_sqrt_d;
+          }
         }
-        for (std::size_t j = 0; j < 4; ++j) {
-          seen[static_cast<std::size_t>(p) + j] = s[j] * inv_sqrt_d;
+        for (; p <= last; ++p) {
+          const float* kh = keys.data() + p * kvdim + kv_off;
+          float s = 0.0F;
+          for (std::size_t d = 0; d < hd; ++d) s += qh[d] * kh[d];
+          seen[static_cast<std::size_t>(p)] = s * inv_sqrt_d;
         }
-      }
-      for (; p <= last; ++p) {
-        const float* kh = keys.data() + p * kvdim + kv_off;
-        float s = 0.0F;
-        for (std::size_t d = 0; d < hd; ++d) s += qh[d] * kh[d];
-        seen[static_cast<std::size_t>(p)] = s * inv_sqrt_d;
-      }
-      softmax_inplace(seen);
-      float* oh = attn_out.data() + t * qdim + head * hd;
-      for (p = 0; p <= last; ++p) {
-        const float* vh = values.data() + p * kvdim + kv_off;
-        const float w = seen[static_cast<std::size_t>(p)];
-        for (std::size_t d = 0; d < hd; ++d) oh[d] += w * vh[d];
+        softmax_inplace(seen);
+        float* oh = attn_out.data() + (t0 + t) * qdim + head * hd;
+        for (p = 0; p <= last; ++p) {
+          const float* vh = values.data() + p * kvdim + kv_off;
+          const float w = seen[static_cast<std::size_t>(p)];
+          for (std::size_t d = 0; d < hd; ++d) oh[d] += w * vh[d];
+        }
       }
     }
+    t0 += rows;
   }
 
   std::vector<float> proj(x.size());
   matmul(lw.wo, attn_out, n, proj);
   add_inplace(x, proj);
+}
+
+void FunctionalModel::attention_block(int layer, std::span<float> x,
+                                      KvCache& kv, int pos) const {
+  DAOP_CHECK_EQ(pos, kv.size());
+  const Segment seg{&kv, rows_of(x.size(), cfg_.d_model), nullptr};
+  attention_block(layer, x, std::span<const Segment>(&seg, 1));
 }
 
 void FunctionalModel::ffn_input(int layer, std::span<const float> x,
@@ -201,9 +236,9 @@ void FunctionalModel::lm_logits(std::span<const float> x,
 }
 
 std::vector<RouteDecision> FunctionalModel::official_block(
-    int layer, std::span<float> x, KvCache& kv, int pos, const GateBias& bias,
+    int layer, std::span<float> x, std::span<const Segment> segments,
     std::vector<float>* gate_logits_out) const {
-  attention_block(layer, x, kv, pos);
+  attention_block(layer, x, segments);
 
   const int n = rows_of(x.size(), cfg_.d_model);
   const auto D = static_cast<std::size_t>(cfg_.d_model);
@@ -217,18 +252,23 @@ std::vector<RouteDecision> FunctionalModel::official_block(
   std::vector<RouteDecision> d(static_cast<std::size_t>(n));
   std::vector<ExpertJob> jobs;
   jobs.reserve(static_cast<std::size_t>(n) * K);
-  for (int t = 0; t < n; ++t) {
-    const auto row = std::span<float>(logits).subspan(t * E, E);
-    if (bias) bias(layer, pos + t, row);
-    d[static_cast<std::size_t>(t)] = route(row);
-    for (std::size_t i = 0; i < K; ++i) {
-      jobs.push_back({d[static_cast<std::size_t>(t)].experts[i], t,
-                      static_cast<int>(t * K + i)});
+  int t = 0;
+  for (const Segment& seg : segments) {
+    const int pos = seg.kv->size();
+    const bool biased = seg.bias != nullptr && *seg.bias;
+    for (int i = 0; i < seg.rows; ++i, ++t) {
+      const auto row = std::span<float>(logits).subspan(t * E, E);
+      if (biased) (*seg.bias)(layer, pos + i, row);
+      d[static_cast<std::size_t>(t)] = route(row);
+      for (std::size_t j = 0; j < K; ++j) {
+        jobs.push_back({d[static_cast<std::size_t>(t)].experts[j], t,
+                        static_cast<int>(t * K + j)});
+      }
     }
   }
   std::vector<float> out(jobs.size() * D);
   run_experts(layer, h, jobs, out);
-  for (int t = 0; t < n; ++t) {
+  for (t = 0; t < n; ++t) {
     const RouteDecision& dt = d[static_cast<std::size_t>(t)];
     for (std::size_t i = 0; i < K; ++i) {
       axpy_inplace(x.subspan(t * D, D), dt.weights[i],
@@ -239,80 +279,181 @@ std::vector<RouteDecision> FunctionalModel::official_block(
   return d;
 }
 
+std::vector<RouteDecision> FunctionalModel::official_block(
+    int layer, std::span<float> x, KvCache& kv, int pos, const GateBias& bias,
+    std::vector<float>* gate_logits_out) const {
+  DAOP_CHECK_EQ(pos, kv.size());
+  const Segment seg{&kv, rows_of(x.size(), cfg_.d_model), &bias};
+  return official_block(layer, x, std::span<const Segment>(&seg, 1),
+                        gate_logits_out);
+}
+
 OfficialDecoder::OfficialDecoder(const FunctionalModel& model)
     : model_(model) {}
+
+namespace {
+
+/// Entry i of a per-sequence list that is either empty or one per sequence.
+template <typename T>
+const T* entry(std::span<const T> list, std::size_t i) {
+  return list.empty() ? nullptr : &list[i];
+}
+
+template <typename T>
+void check_per_sequence(std::span<const T> list, std::size_t n) {
+  DAOP_CHECK(list.empty() || list.size() == n);
+}
+
+}  // namespace
+
+std::vector<PrefillState> OfficialDecoder::prefill_batch(
+    std::span<const std::vector<int>> prompts, int max_new_tokens,
+    std::span<const GateBias> biases,
+    std::span<const RouteObserver> observers) const {
+  DAOP_CHECK(!prompts.empty());
+  DAOP_CHECK_GE(max_new_tokens, 0);
+  check_per_sequence(biases, prompts.size());
+  check_per_sequence(observers, prompts.size());
+  const ModelConfig& cfg = model_.config();
+  const auto D = static_cast<std::size_t>(cfg.d_model);
+  const auto E = static_cast<std::size_t>(cfg.n_experts);
+  std::vector<PrefillState> states;
+  states.reserve(prompts.size());
+  std::size_t rows = 0;
+  for (const std::vector<int>& prompt : prompts) {
+    DAOP_CHECK(!prompt.empty());
+    const int n = static_cast<int>(prompt.size());
+    states.push_back({KvCache(cfg, n + max_new_tokens), -1,
+                      std::vector<std::vector<double>>(
+                          static_cast<std::size_t>(cfg.n_layers),
+                          std::vector<double>(E, 0.0))});
+    rows += prompt.size();
+  }
+  std::vector<Segment> segments;
+  std::vector<float> x(rows * D);
+  std::size_t t = 0;
+  for (std::size_t s = 0; s < prompts.size(); ++s) {
+    segments.push_back({&states[s].kv, static_cast<int>(prompts[s].size()),
+                        entry(biases, s)});
+    for (const int token : prompts[s]) {
+      model_.embed(token, std::span<float>(x).subspan(t++ * D, D));
+    }
+  }
+
+  std::vector<float> gate_logits;
+  for (int l = 0; l < cfg.n_layers; ++l) {
+    const std::vector<RouteDecision> d = model_.official_block(
+        l, x, segments, observers.empty() ? nullptr : &gate_logits);
+    t = 0;
+    for (std::size_t s = 0; s < prompts.size(); ++s) {
+      auto& counts = states[s].counts[static_cast<std::size_t>(l)];
+      const RouteObserver* observer = entry(observers, s);
+      for (int i = 0; i < segments[s].rows; ++i, ++t) {
+        const RouteDecision& dt = d[t];
+        for (int e : dt.experts) counts[static_cast<std::size_t>(e)] += 1.0;
+        if (observer && *observer) {
+          (*observer)(l, i, true,
+                      std::span<const float>(gate_logits).subspan(t * E, E),
+                      dt);
+        }
+      }
+    }
+  }
+
+  // The LM head over each prompt's last row.
+  std::vector<float> last(prompts.size() * D);
+  t = 0;
+  for (std::size_t s = 0; s < prompts.size(); ++s) {
+    states[s].kv.advance(segments[s].rows);
+    t += prompts[s].size();
+    std::copy_n(x.begin() + static_cast<std::ptrdiff_t>((t - 1) * D), D,
+                last.begin() + static_cast<std::ptrdiff_t>(s * D));
+  }
+  const auto V = static_cast<std::size_t>(cfg.vocab_size);
+  std::vector<float> logits(prompts.size() * V);
+  model_.lm_logits(last, logits);
+  for (std::size_t s = 0; s < prompts.size(); ++s) {
+    states[s].first_token =
+        argmax(std::span<const float>(logits).subspan(s * V, V));
+  }
+  return states;
+}
+
+std::vector<std::vector<int>> OfficialDecoder::generate_batch(
+    std::vector<PrefillState> states, int n_gen,
+    std::span<const GateBias> biases,
+    std::span<const RouteObserver> observers) const {
+  DAOP_CHECK_GE(n_gen, 0);
+  check_per_sequence(biases, states.size());
+  check_per_sequence(observers, states.size());
+  const ModelConfig& cfg = model_.config();
+  const auto D = static_cast<std::size_t>(cfg.d_model);
+  const auto E = static_cast<std::size_t>(cfg.n_experts);
+  const auto V = static_cast<std::size_t>(cfg.vocab_size);
+  const std::size_t n = states.size();
+  std::vector<std::vector<int>> out(n);
+  if (n_gen == 0 || n == 0) return out;
+  std::vector<Segment> segments;
+  for (std::size_t s = 0; s < n; ++s) {
+    out[s].reserve(static_cast<std::size_t>(n_gen));
+    out[s].push_back(states[s].first_token);
+    segments.push_back({&states[s].kv, 1, entry(biases, s)});
+  }
+
+  std::vector<float> x(n * D);
+  std::vector<float> logits(n * V);
+  std::vector<float> gate_logits;
+  // The last step's tokens are never returned: it runs only so the
+  // observers see the routing of every decode position.
+  const int steps = observers.empty() ? n_gen - 1 : n_gen;
+  for (int g = 0; g < steps; ++g) {
+    for (std::size_t s = 0; s < n; ++s) {
+      model_.embed(out[s][static_cast<std::size_t>(g)],
+                   std::span<float>(x).subspan(s * D, D));
+    }
+    for (int l = 0; l < cfg.n_layers; ++l) {
+      const std::vector<RouteDecision> d = model_.official_block(
+          l, x, segments, observers.empty() ? nullptr : &gate_logits);
+      for (std::size_t s = 0; s < n && !observers.empty(); ++s) {
+        if (!observers[s]) continue;
+        observers[s](l, states[s].kv.size(), false,
+                     std::span<const float>(gate_logits).subspan(s * E, E),
+                     d[s]);
+      }
+    }
+    for (PrefillState& state : states) state.kv.advance();
+    if (g + 1 == n_gen) break;
+    model_.lm_logits(x, logits);
+    for (std::size_t s = 0; s < n; ++s) {
+      out[s].push_back(argmax(std::span<const float>(logits).subspan(s * V, V)));
+    }
+  }
+  return out;
+}
 
 PrefillState OfficialDecoder::prefill(std::span<const int> prompt,
                                       int max_new_tokens, const GateBias& bias,
                                       const RouteObserver& observer) const {
-  DAOP_CHECK(!prompt.empty());
-  DAOP_CHECK_GE(max_new_tokens, 0);
-  const ModelConfig& cfg = model_.config();
-  const int n = static_cast<int>(prompt.size());
-  const auto D = static_cast<std::size_t>(cfg.d_model);
-  const auto E = static_cast<std::size_t>(cfg.n_experts);
-  PrefillState state{KvCache(cfg, n + max_new_tokens), -1,
-                     std::vector<std::vector<double>>(
-                         static_cast<std::size_t>(cfg.n_layers),
-                         std::vector<double>(E, 0.0))};
-
-  std::vector<float> x(static_cast<std::size_t>(n) * D);
-  for (int t = 0; t < n; ++t) {
-    model_.embed(prompt[static_cast<std::size_t>(t)],
-                 std::span<float>(x).subspan(t * D, D));
-  }
-  std::vector<float> gate_logits;
-  for (int l = 0; l < cfg.n_layers; ++l) {
-    const std::vector<RouteDecision> d = model_.official_block(
-        l, x, state.kv, 0, bias, observer ? &gate_logits : nullptr);
-    auto& counts = state.counts[static_cast<std::size_t>(l)];
-    for (int t = 0; t < n; ++t) {
-      const RouteDecision& dt = d[static_cast<std::size_t>(t)];
-      for (int e : dt.experts) counts[static_cast<std::size_t>(e)] += 1.0;
-      if (observer) {
-        observer(l, t, true,
-                 std::span<const float>(gate_logits).subspan(t * E, E), dt);
-      }
-    }
-  }
-  state.kv.advance(n);
-
-  std::vector<float> logits(static_cast<std::size_t>(cfg.vocab_size));
-  model_.lm_logits(std::span<const float>(x).last(D), logits);
-  state.first_token = argmax(logits);
-  return state;
+  const std::vector<int> prompts[] = {{prompt.begin(), prompt.end()}};
+  return std::move(prefill_batch(prompts, max_new_tokens,
+                                 std::span<const GateBias>(&bias, 1),
+                                 observer ? std::span<const RouteObserver>(
+                                                &observer, 1)
+                                          : std::span<const RouteObserver>())
+                       .front());
 }
 
 std::vector<int> OfficialDecoder::generate(PrefillState state, int n_gen,
                                            const GateBias& bias,
                                            const RouteObserver& observer) const {
-  DAOP_CHECK_GE(n_gen, 0);
-  const ModelConfig& cfg = model_.config();
-  std::vector<int> out;
-  if (n_gen == 0) return out;
-  out.reserve(static_cast<std::size_t>(n_gen));
-  out.push_back(state.first_token);
-
-  std::vector<float> x(static_cast<std::size_t>(cfg.d_model));
-  std::vector<float> logits(static_cast<std::size_t>(cfg.vocab_size));
-  std::vector<float> gate_logits;
-  // The last step's token is never returned: it runs only so the observer
-  // sees the routing of every decode position.
-  const int steps = observer ? n_gen : n_gen - 1;
-  for (int g = 0; g < steps; ++g) {
-    const int pos = state.kv.size();
-    model_.embed(out[static_cast<std::size_t>(g)], x);
-    for (int l = 0; l < cfg.n_layers; ++l) {
-      const std::vector<RouteDecision> d = model_.official_block(
-          l, x, state.kv, pos, bias, observer ? &gate_logits : nullptr);
-      if (observer) observer(l, pos, false, gate_logits, d.front());
-    }
-    state.kv.advance();
-    if (g + 1 == n_gen) break;
-    model_.lm_logits(x, logits);
-    out.push_back(argmax(logits));
-  }
-  return out;
+  std::vector<PrefillState> states;
+  states.push_back(std::move(state));
+  return std::move(
+      generate_batch(std::move(states), n_gen,
+                     std::span<const GateBias>(&bias, 1),
+                     observer ? std::span<const RouteObserver>(&observer, 1)
+                              : std::span<const RouteObserver>())
+          .front());
 }
 
 std::vector<int> OfficialDecoder::generate(std::span<const int> prompt,

@@ -67,12 +67,26 @@ struct PrefillState {
   std::vector<std::vector<double>> counts;
 };
 
+/// One sequence's rows in a multi-sequence span: `rows` consecutive
+/// positions starting at the cache's frontier kv->size(), whose keys and
+/// values are appended to `kv`, routed under `*bias` (none when `bias` is
+/// null or empty).
+struct Segment {
+  KvCache* kv = nullptr;
+  int rows = 0;
+  const GateBias* bias = nullptr;
+};
+
 /// Every sub-block works on a span of rows: `x` holds n = x.size() /
-/// d_model rows, the consecutive positions [pos, pos + n) of one sequence,
-/// row-major. A decode step is a span of one row. Each row's numerics are
-/// bit-identical whatever the span length: the multi-row kernel keeps every
-/// output's accumulation chain, and each row's expert outputs are added in
-/// the order of its own routing decision.
+/// d_model rows, row-major. The rows of a span may come from several
+/// sequences, one Segment each, in order: a prompt, a teacher-forced span
+/// and one lockstep decode step of many sequences are the same call, and a
+/// single-sequence decode step is a span of one row. The projections, the
+/// gate, the experts and the LM head run once over all rows; RoPE and
+/// causal attention run per segment. Each row's numerics are bit-identical
+/// whatever shares its span: the multi-row kernel keeps every output's
+/// accumulation chain, and each row's expert outputs are added in the order
+/// of its own routing decision.
 class FunctionalModel {
  public:
   FunctionalModel(ModelConfig cfg, std::uint64_t seed);
@@ -84,8 +98,12 @@ class FunctionalModel {
   void embed(int token, std::span<float> x) const;
 
   /// x <- x + Attention(RMSNorm(x)) for every row, each attending causally
-  /// to the cache and the span's earlier rows; appends the span's k/v to
-  /// `kv`. `pos` must equal kv.size().
+  /// to its segment's cache and the segment's earlier rows; appends each
+  /// segment's k/v to its cache. The segments' rows must add up to x's.
+  void attention_block(int layer, std::span<float> x,
+                       std::span<const Segment> segments) const;
+
+  /// The span of one sequence at `pos`, which must equal kv.size().
   void attention_block(int layer, std::span<float> x, KvCache& kv,
                        int pos) const;
 
@@ -120,6 +138,11 @@ class FunctionalModel {
   /// place, returning each row's route. When `gate_logits_out` is non-null
   /// it receives the (biased) gate logits of every row, n_experts per row.
   std::vector<RouteDecision> official_block(
+      int layer, std::span<float> x, std::span<const Segment> segments,
+      std::vector<float>* gate_logits_out = nullptr) const;
+
+  /// The span of one sequence at `pos`, which must equal kv.size().
+  std::vector<RouteDecision> official_block(
       int layer, std::span<float> x, KvCache& kv, int pos,
       const GateBias& bias,
       std::vector<float>* gate_logits_out = nullptr) const;
@@ -134,20 +157,39 @@ class FunctionalModel {
 };
 
 /// Exact greedy decoder: the paper's "Official" rows in Tables V/VI.
+///
+/// The batch calls run their sequences in lockstep: one span per layer
+/// holds a segment of every sequence. `biases` and `observers` are either
+/// empty (none) or hold one entry per sequence; each observer sees only its
+/// own sequence's routing events. The single-sequence calls are batches of
+/// one.
 class OfficialDecoder {
  public:
   explicit OfficialDecoder(const FunctionalModel& model);
 
-  /// The exact prefill of `prompt`, run layer by layer over the whole
-  /// prompt, with room in its cache for `max_new_tokens` decode positions.
-  /// `observer` (optional) sees the prompt's routing events, layer-major.
+  /// The exact prefills of `prompts`, run together layer by layer over
+  /// every prompt, each with room in its cache for `max_new_tokens` decode
+  /// positions. Observers see the prompts' routing events, layer-major.
+  std::vector<PrefillState> prefill_batch(
+      std::span<const std::vector<int>> prompts, int max_new_tokens,
+      std::span<const GateBias> biases = {},
+      std::span<const RouteObserver> observers = {}) const;
+
+  /// Greedily decodes `n_gen` tokens continuing every state, one lockstep
+  /// step per position. Each bias must be its prefill's; observers see
+  /// every decode routing event.
+  std::vector<std::vector<int>> generate_batch(
+      std::vector<PrefillState> states, int n_gen,
+      std::span<const GateBias> biases = {},
+      std::span<const RouteObserver> observers = {}) const;
+
+  /// prefill_batch of one prompt.
   PrefillState prefill(std::span<const int> prompt, int max_new_tokens,
                        const GateBias& bias = nullptr,
                        const RouteObserver& observer = nullptr) const;
 
-  /// Greedily decodes `n_gen` tokens continuing `state` (taken by value:
-  /// pass a copy to continue one prefill several times). `bias` must be
-  /// the prefill's; `observer` (optional) sees every decode routing event.
+  /// generate_batch of one state (taken by value: pass a copy to continue
+  /// one prefill several times).
   std::vector<int> generate(PrefillState state, int n_gen,
                             const GateBias& bias = nullptr,
                             const RouteObserver& observer = nullptr) const;

@@ -11,39 +11,43 @@ namespace daop {
 
 namespace {
 
-// Four float lanes: one SSE register on x86-64, NEON on AArch64. GCC keeps
-// lane arithmetic IEEE (no reassociation without -ffast-math), so each lane
-// is one independent scalar accumulator chain.
+// Float vectors of four and eight lanes: SSE (or NEON) and AVX registers.
+// GCC keeps lane arithmetic IEEE (no reassociation without -ffast-math, no
+// fused multiply-add under -ffp-contract=off), so each lane is one
+// independent scalar accumulator chain.
 typedef float Vec4 __attribute__((vector_size(16)));
-
-Vec4 load4(const float* p) {
-  Vec4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+typedef float Vec8 __attribute__((vector_size(32)));
 
 // The scalar chains of R input rows (starting at row t of x) against panel
-// p: R * 4 independent Vec4 accumulators, each weight vector loaded once
-// for all R rows. Every chain starts at 0.0f and adds W[r][c] * x[c] for c
-// ascending.
-template <int R>
-void panel_block(const PackedMatrix& w, std::int64_t p, const float* x,
-                 int t, float* y) {
+// p: R * kPanelRows independent chains in V-wide accumulators, each weight
+// vector loaded once for all R rows. Every chain starts at 0.0f and adds
+// W[r][c] * x[c] for c ascending. Always inlined, so the caller's target
+// decides the instructions it compiles to.
+template <typename V, int R>
+[[gnu::always_inline]] inline void panel_block(const PackedMatrix& w,
+                                               std::int64_t p, const float* x,
+                                               int t, float* y) {
   constexpr std::int64_t kRows = PackedMatrix::kPanelRows;
+  constexpr int kLanes = sizeof(V) / sizeof(float);
+  constexpr int kVecs = kRows / kLanes;
   const std::int64_t rows = w.rows();
   const std::int64_t cols = w.cols();
   const float* wp = w.panel(p);
   const float* xr[R];
   for (int r = 0; r < R; ++r) xr[r] = x + (t + r) * cols;
-  Vec4 acc[R][4] = {};
+  V acc[R][kVecs] = {};
   for (std::int64_t c = 0; c < cols; ++c, wp += kRows) {
-    Vec4 u[R];
+    V u[R];
     for (int r = 0; r < R; ++r) {
-      const float v = xr[r][c];
-      u[r] = Vec4{v, v, v, v};
+      // A broadcast of x[c] (GCC 12 warns on an 8-float initializer list
+      // here).
+      float lanes[kLanes];
+      std::fill(lanes, lanes + kLanes, xr[r][c]);
+      std::memcpy(&u[r], lanes, sizeof(V));
     }
-    for (int j = 0; j < 4; ++j) {
-      const Vec4 wv = load4(wp + 4 * j);
+    for (int j = 0; j < kVecs; ++j) {
+      V wv;
+      std::memcpy(&wv, wp + kLanes * j, sizeof(wv));
       for (int r = 0; r < R; ++r) acc[r][j] += wv * u[r];
     }
   }
@@ -57,21 +61,87 @@ void panel_block(const PackedMatrix& w, std::int64_t p, const float* x,
   }
 }
 
-}  // namespace
-
-void matmul(const PackedMatrix& w, std::span<const float> x, int n,
-            std::span<float> y) {
+void check_matmul_shapes(const PackedMatrix& w, std::span<const float> x,
+                         int n, std::span<float> y) {
   DAOP_CHECK_GE(n, 1);
   DAOP_CHECK_EQ(static_cast<std::int64_t>(x.size()), n * w.cols());
   DAOP_CHECK_EQ(static_cast<std::int64_t>(y.size()), n * w.rows());
-  static_assert(PackedMatrix::kPanelRows == 16, "four Vec4 lanes per panel");
+}
+
+void matmul_unchecked_lanes4(const PackedMatrix& w, const float* x, int n,
+                             float* y) {
   for (std::int64_t p = 0; p < w.panels(); ++p) {
     // Two input rows per pass over the panel: eight chains, one weight
     // load; an odd last row (a decode step's only row) goes alone.
     int t = 0;
-    for (; t + 2 <= n; t += 2) panel_block<2>(w, p, x.data(), t, y.data());
-    if (t < n) panel_block<1>(w, p, x.data(), t, y.data());
+    for (; t + 2 <= n; t += 2) panel_block<Vec4, 2>(w, p, x, t, y);
+    if (t < n) panel_block<Vec4, 1>(w, p, x, t, y);
   }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define DAOP_HAVE_LANES8 1
+
+[[gnu::target("avx2")]] void matmul_unchecked_lanes8(const PackedMatrix& w,
+                                                    const float* x, int n,
+                                                    float* y) {
+  for (std::int64_t p = 0; p < w.panels(); ++p) {
+    // Four input rows per pass: eight chains of two 8-lane halves each.
+    // At one row the two halves are only two chains, add-latency bound;
+    // rows of lockstep sequences fill the block.
+    int t = 0;
+    for (; t + 4 <= n; t += 4) panel_block<Vec8, 4>(w, p, x, t, y);
+    if (t + 2 <= n) {
+      panel_block<Vec8, 2>(w, p, x, t, y);
+      t += 2;
+    }
+    if (t < n) panel_block<Vec8, 1>(w, p, x, t, y);
+  }
+}
+#endif
+
+using MatmulKernel = void (*)(const PackedMatrix&, const float*, int, float*);
+
+MatmulKernel pick_matmul_kernel() {
+#ifdef DAOP_HAVE_LANES8
+  if (lanes8_supported()) return matmul_unchecked_lanes8;
+#endif
+  return matmul_unchecked_lanes4;
+}
+
+}  // namespace
+
+bool lanes8_supported() {
+#ifdef DAOP_HAVE_LANES8
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+void matmul_lanes4(const PackedMatrix& w, std::span<const float> x, int n,
+                   std::span<float> y) {
+  check_matmul_shapes(w, x, n, y);
+  matmul_unchecked_lanes4(w, x.data(), n, y.data());
+}
+
+void matmul_lanes8(const PackedMatrix& w, std::span<const float> x, int n,
+                   std::span<float> y) {
+  DAOP_CHECK(lanes8_supported());
+  check_matmul_shapes(w, x, n, y);
+#ifdef DAOP_HAVE_LANES8
+  matmul_unchecked_lanes8(w, x.data(), n, y.data());
+#endif
+}
+
+void matmul(const PackedMatrix& w, std::span<const float> x, int n,
+            std::span<float> y) {
+  static_assert(PackedMatrix::kPanelRows == 16, "whole vectors per panel");
+  // Chosen once per process.
+  static const MatmulKernel kernel = pick_matmul_kernel();
+  check_matmul_shapes(w, x, n, y);
+  kernel(w, x.data(), n, y.data());
 }
 
 void matvec_transposed(const Tensor& w, std::span<const float> x,
@@ -244,16 +314,15 @@ void rope_apply(std::span<float> x, int n_heads, int head_dim,
   }
 }
 
-TopK topk_indices(std::span<const float> x, int k) {
-  DAOP_CHECK_GE(k, 0);
-  DAOP_CHECK_LE(static_cast<std::size_t>(k), x.size());
-  DAOP_CHECK_LE(k, kMaxTopK);
-  // Repeated max-scan over the strict total order (score desc, index asc).
-  // (score, index) pairs are distinct, so the top-k sequence is uniquely
-  // determined and this matches a partial_sort with the same comparator
-  // exactly — but with no index scratch and O(k*n) work, which wins for MoE
-  // routing's tiny k (top-2 of 8 experts) on the hottest call site in the
-  // simulator (every token × layer of every generated trace).
+namespace {
+
+// Repeated max-scan over the strict total order (score desc, index asc).
+// (score, index) pairs are distinct, so the top-k sequence is uniquely
+// determined and this matches a partial_sort with the same comparator
+// exactly — but with no index scratch and O(k*n) work, which wins for MoE
+// routing's tiny k (top-2 of 8 experts) on the hottest call site in the
+// simulator (every token × layer of every generated trace).
+TopK topk_scan(std::span<const float> x, int k) {
   TopK out;
   float prev_x = 0.0f;
   int prev_i = -1;
@@ -277,6 +346,48 @@ TopK topk_indices(std::span<const float> x, int k) {
     prev_x = best_x;
     prev_i = best;
   }
+  return out;
+}
+
+}  // namespace
+
+TopK topk_indices(std::span<const float> x, int k) {
+  DAOP_CHECK_GE(k, 0);
+  DAOP_CHECK_LE(static_cast<std::size_t>(k), x.size());
+  DAOP_CHECK_LE(k, kMaxTopK);
+  if (k != 2) return topk_scan(x, k);
+  // Top-2 (every shipped config) in one ascending scan that keeps the best
+  // two under the same order: a strictly greater score displaces, so an
+  // equal one keeps the lower index. Without NaN the order is total and
+  // this equals topk_scan; a NaN row takes topk_scan itself.
+  int i1 = 0;
+  int i2 = 1;
+  float x1 = x[0];
+  float x2 = x[1];
+  bool nan = x1 != x1 || x2 != x2;
+  if (x2 > x1) {
+    std::swap(i1, i2);
+    std::swap(x1, x2);
+  }
+  for (std::size_t i = 2; i < x.size(); ++i) {
+    const float xi = x[i];
+    nan |= xi != xi;
+    if (xi > x2) {
+      if (xi > x1) {
+        i2 = i1;
+        x2 = x1;
+        i1 = static_cast<int>(i);
+        x1 = xi;
+      } else {
+        i2 = static_cast<int>(i);
+        x2 = xi;
+      }
+    }
+  }
+  if (nan) return topk_scan(x, 2);
+  TopK out;
+  out.push_back(i1);
+  out.push_back(i2);
   return out;
 }
 

@@ -23,10 +23,23 @@ namespace daop {
 /// y[t][r] is the scalar chain acc = 0.0f; acc += W[r][c] * x[t][c] for c
 /// ascending, each product and sum rounded to float, so results are
 /// bit-identical to that loop whatever n is; the panel layout only runs
-/// kPanelRows such chains side by side in vector lanes, and two input rows
-/// share each pass over a panel's weights.
+/// kPanelRows such chains side by side in vector lanes, and several input
+/// rows share each pass over a panel's weights. Runs matmul_lanes8 on a
+/// host with AVX2 and matmul_lanes4 elsewhere, chosen once per process.
 void matmul(const PackedMatrix& w, std::span<const float> x, int n,
             std::span<float> y);
+
+/// The two instantiations of matmul's panel kernel, with equal results:
+/// 4-float lanes in blocks of two input rows (SSE on x86-64, NEON on
+/// AArch64), and 8-float AVX2 lanes in blocks of four rows with two- and
+/// one-row tails. matmul_lanes8 requires lanes8_supported().
+void matmul_lanes4(const PackedMatrix& w, std::span<const float> x, int n,
+                   std::span<float> y);
+void matmul_lanes8(const PackedMatrix& w, std::span<const float> x, int n,
+                   std::span<float> y);
+
+/// True on an x86 host whose CPU has AVX2.
+bool lanes8_supported();
 
 /// y = W * x: the n = 1 case of matmul.
 inline void matvec(const PackedMatrix& w, std::span<const float> x,

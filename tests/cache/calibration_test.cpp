@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,11 @@ struct CalibrationCase {
   int prompt_len;
   int gen_len;
 };
+
+// Without this gtest prints a CalibrationCase as raw bytes, which include
+// the address of its name string; that text ends up in the test names
+// gtest_discover_tests registers, so they would change from build to build.
+void PrintTo(const CalibrationCase& c, std::ostream* os) { *os << c.name; }
 
 void expect_calibration_equals_counting(const CalibrationCase& c) {
   data::WorkloadSpec spec = data::sharegpt_calibration();

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -201,6 +204,85 @@ TEST(Ops, TopkRejectsKAboveInlineCapacity) {
   ASSERT_EQ(full.size(), static_cast<std::size_t>(kMaxTopK));
   EXPECT_EQ(full.front(), 2 * kMaxTopK - 1);
   EXPECT_THROW(topk_indices(x, kMaxTopK + 1), CheckError);
+}
+
+/// The general repeated max-scan over (score desc, index asc), as
+/// topk_indices ran it for every k before top-2 got its one-pass scan.
+std::vector<int> general_topk_scan(std::span<const float> x, int k) {
+  std::vector<int> out;
+  float prev_x = 0.0F;
+  int prev_i = -1;
+  for (int round = 0; round < k; ++round) {
+    int best = -1;
+    float best_x = 0.0F;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float xi = x[i];
+      const int ii = static_cast<int>(i);
+      if (prev_i >= 0 && !(xi < prev_x || (xi == prev_x && ii > prev_i))) {
+        continue;
+      }
+      if (best < 0 || xi > best_x) {
+        best = ii;
+        best_x = xi;
+      }
+    }
+    out.push_back(best);
+    prev_x = best_x;
+    prev_i = best;
+  }
+  return out;
+}
+
+TEST(Ops, TopTwoEqualsGeneralScan) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(17);
+  int rows = 0;
+  for (const int e : {2, 3, 7, 8, 16, 256}) {
+    const auto n = static_cast<std::size_t>(e);
+    std::vector<std::vector<float>> cases;
+    for (int r = 0; r < 50; ++r) {
+      std::vector<float> random(n);
+      std::vector<float> ties(n);
+      std::vector<float> zeros(n);
+      std::vector<float> infs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        random[i] = static_cast<float>(rng.normal());
+        // Three distinct values: ties at the top, the second or both.
+        ties[i] = static_cast<float>(rng.uniform_int(0, 2));
+        zeros[i] = rng.uniform_int(0, 1) == 0 ? 0.0F : -0.0F;
+        const int pick = rng.uniform_int(0, 3);
+        infs[i] = pick == 0   ? inf
+                  : pick == 1 ? -inf
+                              : static_cast<float>(rng.normal());
+      }
+      cases.push_back(random);
+      cases.push_back(ties);
+      cases.push_back(zeros);
+      cases.push_back(infs);
+      cases.push_back(std::vector<float>(n, -inf));
+      for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+        for (std::vector<float> row : {random, ties, infs}) {
+          row[at] = nan;
+          cases.push_back(row);
+        }
+      }
+    }
+    for (const std::vector<float>& x : cases) {
+      const TopK top = topk_indices(x, 2);
+      const std::vector<int> got(top.begin(), top.end());
+      EXPECT_EQ(got, general_topk_scan(x, 2)) << "E=" << e;
+      if (e >= 3) {
+        // The library's general scan: its first two picks do not depend
+        // on k.
+        const TopK three = topk_indices(x, 3);
+        EXPECT_EQ(got, std::vector<int>(three.begin(), three.begin() + 2))
+            << "E=" << e;
+      }
+      ++rows;
+    }
+  }
+  EXPECT_EQ(rows, 6 * 50 * (5 + 3 * 3));
 }
 
 TEST(Ops, InlineIdsRejectOverflow) {

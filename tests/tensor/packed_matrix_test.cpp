@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -148,6 +149,66 @@ TEST(PackedMatmul, MultiRowMatchesMatvecBitForBit) {
     }
   }
   EXPECT_EQ(cases, 7 * 4 * 5 * 2);
+}
+
+using MatmulFn = void (*)(const PackedMatrix&, std::span<const float>, int,
+                          std::span<float>);
+
+/// Runs one instantiation of the panel kernel over the shapes above x
+/// n in {1..9, 24} (every row-block size and tail of both lane widths)
+/// with NaN, +-inf, -0.0 and subnormal inputs, and memcmps each output row
+/// against the scalar oracle; returns the number of cases.
+int expect_kernel_matches_oracle(MatmulFn kernel, std::uint64_t seed) {
+  Rng rng(seed);
+  int cases = 0;
+  for (const int rows : {1, 8, 15, 16, 17, 33, 256}) {
+    for (const int cols : {1, 3, 64, 128}) {
+      for (const int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 24}) {
+        for (const Fill fill : {Fill::ZerosAndSubnormals, Fill::Specials}) {
+          const auto size = static_cast<std::size_t>(rows) * cols;
+          const std::vector<float> wv = sample(size, rng, fill, 37);
+          const std::vector<float> x =
+              sample(static_cast<std::size_t>(n) * cols, rng, fill, 5);
+          Tensor w(rows, cols);
+          std::memcpy(w.data(), wv.data(), size * sizeof(float));
+          std::vector<float> y(static_cast<std::size_t>(n) * rows, -1.0F);
+          kernel(PackedMatrix::pack(w), x, n, y);
+          const auto cs = static_cast<std::size_t>(cols);
+          const auto rs = static_cast<std::size_t>(rows);
+          for (int t = 0; t < n; ++t) {
+            const std::vector<float> xt(x.begin() + t * cs,
+                                        x.begin() + (t + 1) * cs);
+            const std::vector<float> yt(y.begin() + t * rs,
+                                        y.begin() + (t + 1) * rs);
+            EXPECT_TRUE(same_bits(yt, oracle_matvec(w, xt)))
+                << rows << "x" << cols << " n " << n << " row " << t;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+TEST(PackedMatmul, Lanes4MatchesScalarOracleBitForBit) {
+  EXPECT_EQ(expect_kernel_matches_oracle(matmul_lanes4, 2026), 7 * 4 * 10 * 2);
+}
+
+TEST(PackedMatmul, Lanes8MatchesScalarOracleBitForBit) {
+  if (!lanes8_supported()) GTEST_SKIP() << "this host has no AVX2";
+  EXPECT_EQ(expect_kernel_matches_oracle(matmul_lanes8, 2026), 7 * 4 * 10 * 2);
+}
+
+TEST(PackedMatmul, Lanes8RejectsBadShapes) {
+  if (!lanes8_supported()) GTEST_SKIP() << "this host has no AVX2";
+  const PackedMatrix p(4, 3);
+  std::vector<float> x(6);
+  std::vector<float> y(8);
+  EXPECT_NO_THROW(matmul_lanes8(p, x, 2, y));
+  EXPECT_THROW(matmul_lanes8(p, x, 3, y), CheckError);
+  EXPECT_THROW(matmul_lanes4(p, x, 2, std::span<float>(y).first(4)),
+               CheckError);
 }
 
 TEST(PackedMatvec, KnownAnswerRulesOutFusedMultiplyAdd) {
